@@ -24,27 +24,17 @@ from .artemis import (
 )
 from .chain import (
     PosteriorChain,
-    StayProbs,
     TwoStateRequiredError,
     build_posterior_chain,
-    chain_marginals,
-    conditional_initial,
-    conditional_transition,
     sample_posterior_paths,
     stay_probabilities,
     swap_states,
 )
 from .decoding import (
     DecodeResult,
-    GeometricMeans,
     ImpossibleSequenceError,
-    geometric_means,
     hybrid_decode,
-    hybrid_objective,
     hybrid_paths,
-    hybrid_risk,
-    path_log_risk,
-    pointwise_log_risk,
     posterior_decode,
     viterbi,
 )
@@ -58,6 +48,7 @@ from .fmci import (
     build_jump_chain,
     build_longest_run_chain,
     build_positions_chain,
+    build_spec,
     expected_exact_run_counts,
     path_statistic,
     propagate,

@@ -107,9 +107,7 @@ def sweep(model: HmmModel, x, y, alphas=None) -> ArtemisCurve:
     tables = forward_backward(model, x)
     paths = hybrid_paths(model, tables, alphas)
     accuracy = (paths == y[None, :]).mean(axis=1)
-    joint = np.array(
-        [log_joint(model, p, x, log_emissions=tables.log_emissions) for p in paths]
-    )
+    joint = log_joint(model, paths, x, log_emissions=tables.log_emissions)
     scaled_acc, acc_flat = _minmax(accuracy)
     scaled_joint, joint_flat = _minmax(joint)
     degenerate = tuple(

@@ -23,10 +23,7 @@ from .seeding import substream_seed
 
 __all__ = [
     "PosteriorChain",
-    "StayProbs",
     "TwoStateRequiredError",
-    "conditional_initial",
-    "conditional_transition",
     "build_posterior_chain",
     "stay_probabilities",
     "swap_states",
@@ -64,23 +61,6 @@ class PosteriorChain:
         return self.init.size
 
 
-@dataclass(frozen=True)
-class StayProbs:
-    """Per-step probabilities of remaining in each of two hidden states.
-
-    stay1[t-2] = P(y_t = 1 | y_{t-1} = 1, x) and
-    stay2[t-2] = P(y_t = 2 | y_{t-1} = 2, x) for t = 2..n.
-    """
-
-    stay1: np.ndarray
-    stay2: np.ndarray
-
-
-def conditional_initial(model: HmmModel, tables: FBTables) -> np.ndarray:
-    """P(y_1 = . | x): the first posterior marginal."""
-    return tables.fwd_scaled[0] * tables.bwd_scaled[0]
-
-
 def _transition_tensor(
     model: HmmModel, tables: FBTables
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -109,56 +89,38 @@ def _transition_tensor(
     return trans, marked
 
 
-def conditional_transition(model: HmmModel, tables: FBTables, t: int) -> np.ndarray:
-    """K x K matrix P(y_t = j | y_{t-1} = i, x) for a single position t in 2..n.
-
-    Rows whose conditioning state is unreachable under the posterior are
-    returned uniform; build_posterior_chain records which ones.
-    """
-    if not 2 <= t <= tables.n:
-        raise ValueError(f"t must lie in 2..{tables.n}, got {t}")
-    k = tables.num_states
-    shift = tables.log_emissions[t - 1].max()
-    em = np.exp(tables.log_emissions[t - 1] - shift)
-    c_shifted = np.exp(tables.log_scale[t - 1] - shift)
-    num = model.gamma * (em * tables.bwd_scaled[t - 1])[None, :]
-    denom = tables.bwd_scaled[t - 2] * c_shifted
-    out = np.empty((k, k))
-    for i in range(k):
-        if denom[i] <= 0.0:
-            out[i] = 1.0 / k
-        else:
-            out[i] = num[i] / denom[i]
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
 def build_posterior_chain(model: HmmModel, tables: FBTables) -> PosteriorChain:
     """Assemble the conditional initial vector and all transition matrices.
 
-    The full (n-1, K, K) tensor is materialized; at two or three states this
-    stays modest even for sequences of length 10^6.  Callers that cannot
-    afford it can stream :func:`conditional_transition` position by position.
+    The initial vector is the first posterior marginal.  The full
+    (n-1, K, K) tensor is materialized; at two or three states this stays
+    modest even for sequences of length 10^6.
     """
-    init = conditional_initial(model, tables)
+    init = tables.fwd_scaled[0] * tables.bwd_scaled[0]
     if tables.n == 1:
         trans = np.empty((0, tables.num_states, tables.num_states))
         marked: list[tuple[int, int]] = []
     else:
         trans, marked = _transition_tensor(model, tables)
-    init = init.copy()
     init.flags.writeable = False
     trans.flags.writeable = False
     return PosteriorChain(init=init, trans=trans, uniform_rows=tuple(marked))
 
 
-def stay_probabilities(chain: PosteriorChain) -> StayProbs:
-    """Extract the two staying-probability series of a two-state chain."""
+def stay_probabilities(chain: PosteriorChain) -> tuple[np.ndarray, np.ndarray]:
+    """The staying-probability series (a, b) of a two-state chain.
+
+    a[t-2] = P(y_t = 1 | y_{t-1} = 1, x) and b[t-2] = P(y_t = 2 | y_{t-1} = 2, x)
+    for t = 2..n; both are views of the chain's transition tensor.
+    """
     if chain.num_states != 2:
         raise TwoStateRequiredError(
-            f"stay probabilities are defined for 2 hidden states, model has {chain.num_states}"
+            "stay probabilities and pattern imbeddings are derived for exactly "
+            f"2 hidden states; the chain has {chain.num_states}.  Collapsing a larger "
+            "model to two labels is not supported because the collapsed process "
+            "need not be Markov."
         )
-    return StayProbs(stay1=chain.trans[:, 0, 0].copy(), stay2=chain.trans[:, 1, 1].copy())
+    return chain.trans[:, 0, 0], chain.trans[:, 1, 1]
 
 
 def swap_states(chain: PosteriorChain) -> PosteriorChain:
@@ -202,22 +164,3 @@ def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarr
             s = np.minimum((u[:, t][:, None] > rows).sum(axis=1), k - 1)
             paths[:, t] = s
     return paths + 1
-
-
-def chain_marginals(chain: PosteriorChain) -> np.ndarray:
-    """Propagate the initial vector through the chain: n x K marginals.
-
-    Equals :func:`hmmposterior.model.posterior_marginals` up to round-off;
-    useful as a consistency check.
-    """
-    n, k = chain.n, chain.num_states
-    out = np.empty((n, k))
-    out[0] = chain.init
-    v = chain.init
-    for t in range(1, n):
-        v = v @ chain.trans[t - 1]
-        out[t] = v
-    return out
-
-
-__all__.append("chain_marginals")

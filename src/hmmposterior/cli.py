@@ -34,16 +34,7 @@ from .chain import (
 )
 from .data import fixture_names, fixture_path
 from .decoding import ImpossibleSequenceError, hybrid_decode, posterior_decode, viterbi
-from .fmci import (
-    aggregate,
-    auto_truncation,
-    build_exact_run_chain,
-    build_jump_chain,
-    build_longest_run_chain,
-    build_positions_chain,
-    expected_exact_run_counts,
-    propagate,
-)
+from .fmci import aggregate, auto_truncation, build_spec, expected_exact_run_counts, propagate
 from .model import (
     HmmModel,
     ImpossibleObservationError,
@@ -103,18 +94,6 @@ def _parse_statistic(spec: str) -> tuple[str, int | None]:
     )
 
 
-def _build_spec(statistic: str, run_length: int | None, ell: int):
-    if statistic in ("jumps", "runs"):
-        return build_jump_chain(ell, mode=statistic)
-    if statistic == "positions":
-        return build_positions_chain(ell)
-    if statistic == "longest_run":
-        return build_longest_run_chain(ell)
-    if statistic == "exact_run":
-        return build_exact_run_chain(run_length, ell)
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
 def cmd_decode(args) -> int:
     model = _load_model(args)
     x = _load_counts(args)
@@ -127,8 +106,9 @@ def cmd_decode(args) -> int:
     hybrid_marg = marginals[np.arange(x.size), result.path - 1]
     io.write_decode_csv(out / "decode.csv", x, posterior_path, viterbi_path,
                         result.path, hybrid_marg)
-    lj_post = log_joint(model, posterior_path, x, log_emissions=tables.log_emissions)
-    lj_vit = log_joint(model, viterbi_path, x, log_emissions=tables.log_emissions)
+    lj_post, lj_vit = log_joint(
+        model, np.stack([posterior_path, viterbi_path]), x, log_emissions=tables.log_emissions
+    )
     print(
         f"loglik={tables.loglik:.12g} posterior_log_joint={lj_post:.12g} "
         f"viterbi_log_joint={lj_vit:.12g} hybrid_log_joint={result.log_joint:.12g} "
@@ -166,7 +146,7 @@ def cmd_fmci(args) -> int:
             print(f"auto truncation for {statistic}: {ell}")
         else:
             ell = int(args.ell)
-        spec = _build_spec(statistic, run_length, ell)
+        spec = build_spec(statistic, ell, run_length)
         dist = aggregate(spec, propagate(spec, chain))
         suffix = statistic if run_length is None else f"{statistic}_{run_length}"
         io.write_distribution_csv(out / f"fmci_{suffix}.csv", dist)

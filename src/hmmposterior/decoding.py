@@ -23,25 +23,18 @@ endpoint path equality bit-exact rather than merely numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import FBTables, HmmModel, as_counts, as_states, log_joint, posterior_marginals
+from .model import FBTables, HmmModel, as_counts, log_joint, posterior_marginals
 
 __all__ = [
     "DecodeResult",
-    "GeometricMeans",
     "ImpossibleSequenceError",
     "posterior_decode",
     "viterbi",
     "hybrid_paths",
     "hybrid_decode",
-    "hybrid_objective",
-    "pointwise_log_risk",
-    "path_log_risk",
-    "hybrid_risk",
-    "geometric_means",
 ]
 
 
@@ -177,7 +170,7 @@ def hybrid_paths(model: HmmModel, tables: FBTables, alphas) -> np.ndarray:
     batch, so a 257-point sweep costs one recursion, not 257.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if ((alphas < 0.0) | (alphas > 1.0)).any():
+    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
         raise ValueError("alpha values must lie in [0, 1]")
     log_pi, log_gamma = _log_model_terms(model)
     with np.errstate(divide="ignore"):
@@ -195,11 +188,12 @@ def _combine(alpha: float, pointwise: float, conditional: float) -> float:
     return float(total)
 
 
-def _pointwise_log_sum(tables: FBTables, s: np.ndarray) -> float:
+def _pointwise_log_sum(tables: FBTables, paths: np.ndarray) -> np.ndarray:
+    # sum_t log P(y_t = s_t | x) for each row of an (m, n) array of 1-based paths
     marg = posterior_marginals(tables)
     with np.errstate(divide="ignore"):
-        picked = np.log(marg[np.arange(s.size), s - 1])
-    return float(picked.sum())
+        picked = np.log(marg[np.arange(paths.shape[1]), paths - 1])
+    return picked.sum(axis=1)
 
 
 def hybrid_decode(model: HmmModel, tables: FBTables, x, alpha: float) -> DecodeResult:
@@ -207,87 +201,16 @@ def hybrid_decode(model: HmmModel, tables: FBTables, x, alpha: float) -> DecodeR
 
     x must be the observation sequence the tables were computed from.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     x = as_counts(x)
     if x.size != tables.n:
         raise ValueError("observation sequence does not match the tables")
-    path = hybrid_paths(model, tables, [alpha])[0]
-    pointwise = _pointwise_log_sum(tables, path)
-    lj = log_joint(model, path, x, log_emissions=tables.log_emissions)
+    paths = hybrid_paths(model, tables, [alpha])
+    pointwise = float(_pointwise_log_sum(tables, paths)[0])
+    lj = float(log_joint(model, paths, x, log_emissions=tables.log_emissions)[0])
     return DecodeResult(
-        path=path,
+        path=paths[0],
         alpha=float(alpha),
         objective=_combine(alpha, pointwise, lj - tables.loglik),
         log_joint=lj,
         pointwise_log_sum=pointwise,
-    )
-
-
-def hybrid_objective(model: HmmModel, tables: FBTables, x, s, alpha: float) -> float:
-    """h(s): the hybrid criterion evaluated at an arbitrary path."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    s = as_states(s, model.num_states)
-    lj = log_joint(model, s, x, log_emissions=tables.log_emissions)
-    return _combine(alpha, _pointwise_log_sum(tables, s), lj - tables.loglik)
-
-
-def pointwise_log_risk(tables: FBTables, s) -> float:
-    """Mean over positions of -log P(y_t = s_t | x); +inf if any term is zero."""
-    s = as_states(s, tables.num_states)
-    return float(-_pointwise_log_sum(tables, s) / s.size)
-
-
-def path_log_risk(model: HmmModel, tables: FBTables, x, s) -> float:
-    """-(1/n) log P(s | x); +inf for an inadmissible path."""
-    s = as_states(s, model.num_states)
-    lj = log_joint(model, s, x, log_emissions=tables.log_emissions)
-    return float(-(lj - tables.loglik) / s.size)
-
-
-def hybrid_risk(model: HmmModel, tables: FBTables, x, s, alpha: float) -> float:
-    """(1 - alpha) * pointwise risk + alpha * path risk, zero coefficients dropped."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    total = 0.0
-    if alpha < 1.0:
-        total += (1.0 - alpha) * pointwise_log_risk(tables, s)
-    if alpha > 0.0:
-        total += alpha * path_log_risk(model, tables, x, s)
-    return float(total)
-
-
-class GeometricMeans(NamedTuple):
-    """Log geometric means of a decoded path, all per position.
-
-    log_pointwise : log of the geometric mean of the marginals along the path.
-    log_path      : (1/n) log P(s | x), the per-position conditional path
-                    probability.  The path probability enters through its
-                    n-th root so that the weighted mean below is comparable
-                    with the pointwise mean and satisfies
-                    log_hybrid = hybrid objective / n.
-    log_hybrid    : (1 - alpha) * log_pointwise + alpha * log_path.
-    """
-
-    log_pointwise: float
-    log_path: float
-    log_hybrid: float
-
-
-def geometric_means(
-    model: HmmModel, tables: FBTables, x, s, alpha: float
-) -> GeometricMeans:
-    """Pointwise, path, and weighted geometric means of a path, in log form."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    s = as_states(s, model.num_states)
-    n = s.size
-    log_pointwise = _pointwise_log_sum(tables, s) / n
-    lj = log_joint(model, s, x, log_emissions=tables.log_emissions)
-    log_path = (lj - tables.loglik) / n
-    return GeometricMeans(
-        log_pointwise=float(log_pointwise),
-        log_path=float(log_path),
-        log_hybrid=_combine(alpha, log_pointwise, log_path),
     )

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .chain import PosteriorChain, TwoStateRequiredError
+from .chain import PosteriorChain, stay_probabilities
 
 __all__ = [
     "ImbeddingSpec",
@@ -39,6 +38,7 @@ __all__ = [
     "build_positions_chain",
     "build_exact_run_chain",
     "build_longest_run_chain",
+    "build_spec",
     "propagate",
     "aggregate",
     "expected_exact_run_counts",
@@ -82,13 +82,6 @@ class ImbeddingSpec:
         v[self.eta_slots[0]] += eta1
         v[self.eta_slots[1]] += eta2
         return v
-
-    def step_matrix(self, a: float, b: float) -> sparse.csr_matrix:
-        """The M x M transition matrix for one step with stay probs (a, b)."""
-        coef = np.array([a, 1.0 - a, b, 1.0 - b, 1.0])
-        return sparse.csr_matrix(
-            (coef[self.kinds], (self.rows, self.cols)), shape=(self.size, self.size)
-        )
 
 
 def _freeze_spec(statistic, truncation, size, run_length, eta_slots, values, entries):
@@ -251,14 +244,19 @@ def build_longest_run_chain(truncation: int) -> ImbeddingSpec:
     return _freeze_spec("longest_run", ell, size, None, (0, 1), values, entries)
 
 
-def _stay_series(chain: PosteriorChain) -> tuple[np.ndarray, np.ndarray]:
-    if chain.num_states != 2:
-        raise TwoStateRequiredError(
-            "pattern imbeddings are derived for exactly 2 hidden states; "
-            f"the chain has {chain.num_states}.  Collapsing a larger model to two "
-            "labels is not supported because the collapsed process need not be Markov."
-        )
-    return chain.trans[:, 0, 0], chain.trans[:, 1, 1]
+def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
+    """The imbedding for a statistic by name; exact_run also needs run_length."""
+    if statistic in ("jumps", "runs"):
+        return build_jump_chain(truncation, mode=statistic)
+    if statistic == "positions":
+        return build_positions_chain(truncation)
+    if statistic == "longest_run":
+        return build_longest_run_chain(truncation)
+    if statistic == "exact_run":
+        if run_length is None:
+            raise ValueError("exact_run requires run_length")
+        return build_exact_run_chain(run_length, truncation)
+    raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
@@ -266,7 +264,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
 
     One sparse vector-matrix product per position; the result sums to one.
     """
-    a, b = _stay_series(chain)
+    a, b = stay_probabilities(chain)
     v = spec.initial_vector(chain.init[0], chain.init[1])
     rows, cols, kinds = spec.rows, spec.cols, spec.kinds
     size = spec.size

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .artemis import ArtemisCurve, BlockwiseRow, StudyReport
-from .chain import StayProbs
 from .fmci import Distribution, ExpectedRunCounts
 from .model import HmmModel
 
@@ -195,12 +194,13 @@ def write_frequency_csv(path, frequencies, marginals) -> None:
             )
 
 
-def write_stay_csv(path, stays: StayProbs) -> None:
+def write_stay_csv(path, stays: tuple[np.ndarray, np.ndarray]) -> None:
+    a, b = stays
     with _open_writer(path) as fh:
         w = csv.writer(fh)
         w.writerow(["t", "a", "b"])
-        for i in range(stays.stay1.size):
-            w.writerow([i + 2, _fmt(stays.stay1[i]), _fmt(stays.stay2[i])])
+        for i in range(a.size):
+            w.writerow([i + 2, _fmt(a[i]), _fmt(b[i])])
 
 
 def write_curve_csv(path, curve: ArtemisCurve) -> None:

@@ -119,7 +119,7 @@ def as_states(s, num_states: int) -> np.ndarray:
     arr = np.asarray(s)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("state sequence must be a non-empty 1-d array")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if (arr < 1).any() or (arr > num_states).any():
         raise ValueError(f"state labels must lie in 1..{num_states}")
     return arr
@@ -131,12 +131,15 @@ def validate_model(
     """Check the probability invariants of a model.
 
     Returns the model unchanged when pi and every gamma row sum to one
-    within `tolerance` and all entries are admissible.  With `renormalize`,
-    vectors whose sums deviate by at most `tolerance` are rescaled to sum
-    to exactly one (a :class:`RenormalizationWarning` reports which ones);
-    deviations beyond `tolerance` are always an error.
+    within `tolerance` and all entries are finite and admissible.  With
+    `renormalize`, vectors whose sums deviate by at most `tolerance` are
+    rescaled to sum to exactly one (a :class:`RenormalizationWarning`
+    reports which ones); deviations beyond `tolerance` are always an error.
     """
     pi, gamma, rates = model.pi, model.gamma, model.rates
+    for name, values in (("pi", pi), ("gamma", gamma), ("rates", rates)):
+        if not np.isfinite(values).all():
+            raise ModelValidationError(f"{name} has a non-finite entry: {values.tolist()}")
     if (pi < 0).any():
         i = int(np.argmax(pi < 0))
         raise ModelValidationError(f"pi[{i + 1}] = {pi[i]} is negative")
@@ -303,23 +306,29 @@ def posterior_marginals(tables: FBTables) -> np.ndarray:
     return tables.fwd_scaled * tables.bwd_scaled
 
 
-def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None) -> float:
+def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None):
     """log P(y = s, x) for a 1-based state path s; -inf if any factor is zero.
 
-    Passing precomputed `log_emissions` avoids repeating emission work when
-    scoring many paths against the same observations.
+    s may also be an (m, n) array of m paths, which gives an (m,) array of
+    scores; a single path gives a float.  Passing precomputed
+    `log_emissions` avoids repeating emission work when scoring paths
+    against the same observations.
     """
-    s = as_states(s, model.num_states)
+    s = np.asarray(s)
+    if s.ndim not in (1, 2):
+        raise ValueError("paths must be a state sequence or an (m, n) array of them")
+    paths = np.atleast_2d(as_states(s.ravel(), model.num_states).reshape(s.shape))
     if log_emissions is None:
         log_emissions = model.log_emissions(x)
-    if s.size != log_emissions.shape[0]:
+    if paths.shape[1] != log_emissions.shape[0]:
         raise ValueError("state and observation sequences must have equal length")
-    idx = s - 1
+    # a leading unused state lets the 1-based labels index the log tables
+    # directly, so a batch of paths needs no (m, n) array of 0-based indices
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_gamma = np.log(model.gamma)
-    total = log_pi[idx[0]] + log_emissions[0, idx[0]]
-    if s.size > 1:
-        total += log_gamma[idx[:-1], idx[1:]].sum()
-        total += log_emissions[np.arange(1, s.size), idx[1:]].sum()
-    return float(total)
+        log_pi = np.log(np.pad(model.pi, (1, 0)))
+        log_gamma = np.log(np.pad(model.gamma, (1, 0)))
+    log_em = np.pad(log_emissions, ((0, 0), (1, 0)))
+    total = log_pi[paths[:, 0]] + log_em[0, paths[:, 0]]
+    total += log_gamma[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    total += log_em[np.arange(1, paths.shape[1]), paths[:, 1:]].sum(axis=1)
+    return float(total[0]) if s.ndim == 1 else total

@@ -25,14 +25,7 @@ def report(number: int, name: str) -> None:
 
 
 def fmci_distribution(chain, statistic, ell, run_length=None):
-    if statistic in ("jumps", "runs"):
-        spec = hp.build_jump_chain(ell, statistic)
-    elif statistic == "positions":
-        spec = hp.build_positions_chain(ell)
-    elif statistic == "longest_run":
-        spec = hp.build_longest_run_chain(ell)
-    else:
-        spec = hp.build_exact_run_chain(run_length, ell)
+    spec = hp.build_spec(statistic, ell, run_length)
     return hp.aggregate(spec, hp.propagate(spec, chain))
 
 

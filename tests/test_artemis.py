@@ -134,6 +134,12 @@ class TestSweep:
         assert np.array_equal(a.accuracy, b.accuracy)
         assert np.array_equal(a.log_joint, b.log_joint)
 
+    def test_nan_alpha_rejected(self):
+        model = small_model()
+        y, x = hp.simulate(model, 50, seed=5)
+        with pytest.raises(ValueError, match="alpha"):
+            hp.sweep(model, x, y, [0.5, np.nan])
+
 
 class TestArtemisStudy:
     def test_single_replicate_stats(self):

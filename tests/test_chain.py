@@ -21,65 +21,62 @@ def enumeration_transition(paths, weights, t, i, j):
 class TestConditionalInitial:
     def test_single_state(self):
         m = hp.validate_model(hp.HmmModel(pi=[1.0], gamma=[[1.0]], rates=[1.0]))
-        t = hp.forward_backward(m, [0, 2])
-        assert hp.conditional_initial(m, t) == pytest.approx([1.0])
+        ch = hp.build_posterior_chain(m, hp.forward_backward(m, [0, 2]))
+        assert ch.init == pytest.approx([1.0])
 
     def test_uninformative_emissions_give_pi(self):
         m = two_state([0.3, 0.7], [[0.6, 0.4], [0.4, 0.6]], [2.0, 2.0])
         _, x = hp.simulate(m, 10, seed=1)
-        t = hp.forward_backward(m, x)
-        assert hp.conditional_initial(m, t) == pytest.approx([0.3, 0.7], abs=1e-12)
+        ch = hp.build_posterior_chain(m, hp.forward_backward(m, x))
+        assert ch.init == pytest.approx([0.3, 0.7], abs=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             model, x = random_instance(rng, n_low=3, n_high=3)
-            t = hp.forward_backward(model, x)
+            ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
             paths, _, w, _ = enumerate_posterior(model, x)
             expected = oracle_marginals(paths, w, 2)[0]
-            assert hp.conditional_initial(model, t) == pytest.approx(expected, abs=1e-10)
+            assert ch.init == pytest.approx(expected, abs=1e-10)
 
 
 class TestConditionalTransition:
     def test_identity_chain_stays_identity(self):
         m = two_state([1, 0], np.eye(2), [1.0, 6.0])
         _, x = hp.simulate(m, 8, seed=2)
-        t = hp.forward_backward(m, x)
+        ch = hp.build_posterior_chain(m, hp.forward_backward(m, x))
         for step in range(2, 9):
-            mat = hp.conditional_transition(m, t, step)
-            assert mat[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+            assert ch.trans[step - 2, 0] == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_rows_stochastic_on_earthquakes(self, earthquake_model, earthquake_counts):
         t = hp.forward_backward(earthquake_model, earthquake_counts)
-        for step in range(2, len(earthquake_counts) + 1):
-            mat = hp.conditional_transition(earthquake_model, t, step)
+        ch = hp.build_posterior_chain(earthquake_model, t)
+        assert ch.trans.shape == (len(earthquake_counts) - 1, 2, 2)
+        for mat in ch.trans:
             assert mat.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(23)
         for _ in range(12):
             model, x = random_instance(rng, n_low=2, n_high=6)
-            t = hp.forward_backward(model, x)
+            ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
             paths, _, w, _ = enumerate_posterior(model, x)
             for step in range(2, len(x) + 1):
-                mat = hp.conditional_transition(model, t, step)
+                mat = ch.trans[step - 2]
                 for i in (1, 2):
                     for j in (1, 2):
                         expected = enumeration_transition(paths, w, step, i, j)
                         if expected is not None:
                             assert mat[i - 1, j - 1] == pytest.approx(expected, abs=1e-10)
 
-    def test_position_bounds(self, lamb_model, lamb_tables):
-        with pytest.raises(ValueError):
-            hp.conditional_transition(lamb_model, lamb_tables, 1)
-        with pytest.raises(ValueError):
-            hp.conditional_transition(lamb_model, lamb_tables, lamb_tables.n + 1)
-
 
 class TestBuildPosteriorChain:
     def test_marginal_consistency_on_lamb(self, lamb_tables, lamb_chain):
         marg = hp.posterior_marginals(lamb_tables)
-        assert np.abs(hp.chain_marginals(lamb_chain) - marg).max() < 1e-8
+        propagated = [lamb_chain.init]
+        for mat in lamb_chain.trans:
+            propagated.append(propagated[-1] @ mat)
+        assert np.abs(np.array(propagated) - marg).max() < 1e-8
 
     def test_single_state(self):
         m = hp.validate_model(hp.HmmModel(pi=[1.0], gamma=[[1.0]], rates=[1.0]))
@@ -93,11 +90,6 @@ class TestBuildPosteriorChain:
         _, x = hp.simulate(m, 12, seed=3)
         ch = hp.build_posterior_chain(m, hp.forward_backward(m, x))
         assert np.abs(ch.trans - m.gamma[None, :, :]).max() < 1e-12
-
-    def test_matches_streaming_transitions(self, lamb_model, lamb_tables, lamb_chain):
-        for step in (2, 50, 120, lamb_tables.n):
-            mat = hp.conditional_transition(lamb_model, lamb_tables, step)
-            assert np.allclose(lamb_chain.trans[step - 2], mat, atol=1e-14)
 
     def test_unreachable_row_marked_uniform(self, lamb_model, lamb_counts):
         t = hp.forward_backward(lamb_model, lamb_counts)
@@ -122,15 +114,15 @@ class TestStayProbabilities:
     def test_identity_chain(self):
         m = two_state([1, 0], np.eye(2), [1.0, 6.0])
         _, x = hp.simulate(m, 6, seed=2)
-        stays = hp.stay_probabilities(hp.build_posterior_chain(m, hp.forward_backward(m, x)))
-        assert np.allclose(stays.stay1, 1.0)
+        a, _ = hp.stay_probabilities(hp.build_posterior_chain(m, hp.forward_backward(m, x)))
+        assert np.allclose(a, 1.0)
 
     def test_symmetric_uninformative(self):
         m = two_state([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [2.0, 2.0])
         _, x = hp.simulate(m, 9, seed=4)
-        stays = hp.stay_probabilities(hp.build_posterior_chain(m, hp.forward_backward(m, x)))
-        assert np.allclose(stays.stay1, 0.9, atol=1e-12)
-        assert np.allclose(stays.stay2, 0.9, atol=1e-12)
+        a, b = hp.stay_probabilities(hp.build_posterior_chain(m, hp.forward_backward(m, x)))
+        assert np.allclose(a, 0.9, atol=1e-12)
+        assert np.allclose(b, 0.9, atol=1e-12)
 
     def test_rejects_three_states(self):
         m = hp.model_grid([0.8], [5])[0]
@@ -143,13 +135,13 @@ class TestStayProbabilities:
         rng = np.random.default_rng(29)
         model, x = random_instance(rng, n_low=3, n_high=3)
         ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
-        stays = hp.stay_probabilities(ch)
+        a, b = hp.stay_probabilities(ch)
         paths, _, w, _ = enumerate_posterior(model, x)
         for step in (2, 3):
-            a = enumeration_transition(paths, w, step, 1, 1)
-            b = enumeration_transition(paths, w, step, 2, 2)
-            assert stays.stay1[step - 2] == pytest.approx(a, abs=1e-10)
-            assert stays.stay2[step - 2] == pytest.approx(b, abs=1e-10)
+            expected_a = enumeration_transition(paths, w, step, 1, 1)
+            expected_b = enumeration_transition(paths, w, step, 2, 2)
+            assert a[step - 2] == pytest.approx(expected_a, abs=1e-10)
+            assert b[step - 2] == pytest.approx(expected_b, abs=1e-10)
 
 
 class TestSwapStates:
@@ -159,10 +151,10 @@ class TestSwapStates:
         assert np.array_equal(back.trans, lamb_chain.trans)
 
     def test_swapped_stay_probs_exchange(self, lamb_chain):
-        stays = hp.stay_probabilities(lamb_chain)
-        swapped = hp.stay_probabilities(hp.swap_states(lamb_chain))
-        assert np.array_equal(stays.stay1, swapped.stay2)
-        assert np.array_equal(stays.stay2, swapped.stay1)
+        a, b = hp.stay_probabilities(lamb_chain)
+        swapped_a, swapped_b = hp.stay_probabilities(hp.swap_states(lamb_chain))
+        assert np.array_equal(a, swapped_b)
+        assert np.array_equal(b, swapped_a)
 
 
 class TestSamplePosteriorPaths:

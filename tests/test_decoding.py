@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hmmposterior as hp
-from hmmposterior.decoding import _decode_paths
+from hmmposterior.decoding import _decode_paths, _pointwise_log_sum
 from oracles import (
     best_hybrid_objective,
     enumerate_posterior,
@@ -102,8 +102,11 @@ class TestHybridDecode:
             assert np.array_equal(row, hp.hybrid_decode(model, tables, x, float(alpha)).path)
 
     def test_alpha_out_of_range(self, lamb_model, lamb_tables, lamb_counts):
-        with pytest.raises(ValueError):
-            hp.hybrid_decode(lamb_model, lamb_tables, lamb_counts, 1.5)
+        for alpha in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                hp.hybrid_decode(lamb_model, lamb_tables, lamb_counts, alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                hp.hybrid_paths(lamb_model, lamb_tables, [0.5, alpha])
 
     def test_impossible_sequence_error(self):
         neg_inf = np.full((2, 2), -np.inf)
@@ -120,20 +123,23 @@ class TestRisks:
         for _ in range(8):
             model, x = random_instance(rng, n_low=2, n_high=9)
             tables = hp.forward_backward(model, x)
-            paths, _, _, _ = enumerate_posterior(model, x)
-            risks = [hp.pointwise_log_risk(tables, p) for p in paths]
-            best = hp.pointwise_log_risk(tables, hp.posterior_decode(hp.posterior_marginals(tables)))
-            assert best <= min(risks) + 1e-10
+            paths, logj, _, _ = enumerate_posterior(model, x)
+            pw, _ = hybrid_score_components(tables, paths, logj)
+            assert np.allclose(_pointwise_log_sum(tables, paths), pw, atol=1e-10)
+            res = hp.hybrid_decode(model, tables, x, 0.0)
+            assert np.array_equal(res.path, hp.posterior_decode(hp.posterior_marginals(tables)))
+            assert res.pointwise_log_sum == pytest.approx(pw.max(), abs=1e-10)
 
     def test_viterbi_path_minimizes_path_risk(self):
         rng = np.random.default_rng(151)
         for _ in range(8):
             model, x = random_instance(rng, n_low=2, n_high=9)
-            tables = hp.forward_backward(model, x)
-            paths, _, _, _ = enumerate_posterior(model, x)
-            risks = [hp.path_log_risk(model, tables, x, p) for p in paths]
-            best = hp.path_log_risk(model, tables, x, hp.viterbi(model, x))
-            assert best <= min(risks) + 1e-10
+            paths, logj, _, _ = enumerate_posterior(model, x)
+            scores = hp.log_joint(model, paths, x)
+            assert np.allclose(scores, logj, atol=1e-10)
+            assert hp.log_joint(model, hp.viterbi(model, x), x) == pytest.approx(
+                scores.max(), abs=1e-10
+            )
 
     def test_risk_objective_identity(self):
         rng = np.random.default_rng(161)
@@ -141,8 +147,11 @@ class TestRisks:
         tables = hp.forward_backward(model, x)
         for alpha in (0.0, 0.35, 1.0):
             res = hp.hybrid_decode(model, tables, x, alpha)
-            risk = hp.hybrid_risk(model, tables, x, res.path, alpha)
-            assert -len(x) * risk == pytest.approx(res.objective, abs=1e-9)
+            paths = res.path[None, :]
+            pw, cond = hybrid_score_components(tables, paths, hp.log_joint(model, paths, x))
+            assert res.objective == pytest.approx(
+                best_hybrid_objective(pw, cond, alpha), abs=1e-9
+            )
 
     def test_inadmissible_path_scores(self):
         m = hp.validate_model(
@@ -150,49 +159,40 @@ class TestRisks:
         )
         x = [0, 1, 0]
         tables = hp.forward_backward(m, x)
-        bad = [2, 1, 1]  # uses the forbidden 2 -> 1 transition
-        assert hp.path_log_risk(m, tables, x, bad) == np.inf
-        assert hp.hybrid_objective(m, tables, x, bad, 0.5) == -np.inf
-        # every visited state has positive marginal, so the pointwise-only
-        # objective stays finite even though the path itself is impossible
-        assert np.isfinite(hp.hybrid_objective(m, tables, x, bad, 0.0))
+        paths = np.array([[2, 1, 1], [1, 1, 1]])  # the first uses the forbidden 2 -> 1
+        scores = hp.log_joint(m, paths, x)
+        assert scores[0] == -np.inf
+        assert np.isfinite(scores[1])
+        # every visited state has positive marginal, so the pointwise sum stays
+        # finite even though the path itself is impossible
+        assert np.isfinite(_pointwise_log_sum(tables, paths)).all()
 
 
 class TestGeometricMeans:
-    def test_weight_degeneracy(self):
-        rng = np.random.default_rng(171)
-        model, x = random_instance(rng, n_low=10, n_high=10)
-        tables = hp.forward_backward(model, x)
-        path = hp.viterbi(model, x)
-        at0 = hp.geometric_means(model, tables, x, path, 0.0)
-        at1 = hp.geometric_means(model, tables, x, path, 1.0)
-        assert at0.log_hybrid == pytest.approx(at0.log_pointwise, abs=1e-15)
-        assert at1.log_hybrid == pytest.approx(at1.log_path, abs=1e-15)
-
-    def test_hybrid_mean_is_objective_per_position(self):
-        rng = np.random.default_rng(181)
-        model, x = random_instance(rng, n_low=15, n_high=15)
-        tables = hp.forward_backward(model, x)
-        for alpha in (0.2, 0.6, 0.9):
-            res = hp.hybrid_decode(model, tables, x, alpha)
-            gm = hp.geometric_means(model, tables, x, res.path, alpha)
-            assert gm.log_hybrid == pytest.approx(res.objective / len(x), abs=1e-12)
-
     def test_values_match_enumeration(self):
         rng = np.random.default_rng(191)
         model, x = random_instance(rng, n_low=3, n_high=3)
         tables = hp.forward_backward(model, x)
-        paths, logj, w, loglik = enumerate_posterior(model, x)
+        paths, _, w, _ = enumerate_posterior(model, x)
         marg_oracle = np.zeros((3, 2))
         for p, wp in zip(paths, w):
             for t in range(3):
                 marg_oracle[t, p[t] - 1] += wp
-        for p, wp in zip(paths[:4], w[:4]):
-            gm = hp.geometric_means(model, tables, x, p, 0.5)
-            log_g = np.log([marg_oracle[t, p[t] - 1] for t in range(3)]).sum() / 3
-            log_v = np.log(wp) / 3
-            assert gm.log_pointwise == pytest.approx(log_g, abs=1e-10)
-            assert gm.log_path == pytest.approx(log_v, abs=1e-10)
+        log_g = np.log(marg_oracle[np.arange(3), paths - 1]).sum(axis=1)
+        assert np.allclose(_pointwise_log_sum(tables, paths), log_g, atol=1e-10)
+        assert np.allclose(hp.log_joint(model, paths, x) - tables.loglik, np.log(w), atol=1e-10)
+
+
+class TestBatchedLogJoint:
+    def test_artemis_batch_equals_row_by_row(self):
+        model = hp.model_grid([0.8], [5])[0]
+        _, x = hp.simulate(model, 20_000, seed=0)
+        tables = hp.forward_backward(model, x)
+        paths = hp.hybrid_paths(model, tables, hp.default_alpha_grid())
+        batch = hp.log_joint(model, paths, x, log_emissions=tables.log_emissions)
+        rows = [hp.log_joint(model, p, x, log_emissions=tables.log_emissions) for p in paths]
+        assert batch.shape == (257,)
+        assert np.array_equal(batch, rows)
 
 
 class TestPublishedDecodes:

@@ -34,16 +34,7 @@ def manual_chain(init, stay1, stay2):
 
 
 def fmci_distribution(chain, statistic, ell, run_length=None):
-    if statistic == "jumps":
-        spec = hp.build_jump_chain(ell, "jumps")
-    elif statistic == "runs":
-        spec = hp.build_jump_chain(ell, "runs")
-    elif statistic == "positions":
-        spec = hp.build_positions_chain(ell)
-    elif statistic == "longest_run":
-        spec = hp.build_longest_run_chain(ell)
-    else:
-        spec = hp.build_exact_run_chain(run_length, ell)
+    spec = hp.build_spec(statistic, ell, run_length)
     return hp.aggregate(spec, hp.propagate(spec, chain))
 
 
@@ -61,9 +52,10 @@ class TestSpecConstruction:
         grid = np.linspace(0.0, 1.0, 10)
         for a in grid:
             for b in grid:
-                mat = spec.step_matrix(a, b)
-                rowsums = np.asarray(mat.sum(axis=1)).ravel()
-                assert np.abs(rowsums - 1.0).max() < 1e-12
+                coef = np.array([a, 1.0 - a, b, 1.0 - b, 1.0])
+                mat = np.zeros((spec.size, spec.size))
+                np.add.at(mat, (spec.rows, spec.cols), coef[spec.kinds])
+                assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_initial_vector_normalized(self, name, builder):
@@ -79,6 +71,10 @@ class TestSpecConstruction:
             hp.build_jump_chain(3, mode="visits")
         with pytest.raises(ValueError):
             hp.build_exact_run_chain(0, 3)
+        with pytest.raises(ValueError):
+            hp.build_spec("visits", 3)
+        with pytest.raises(ValueError):
+            hp.build_spec("exact_run", 3)
 
 
 class TestClosedForms:

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,17 @@ class TestCliDecode:
                       "--out", tmp_path])
         assert rc == 3
         assert "model-validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("line", ["pi 1 0", "gamma 0.9 0.1", "lambda 1.5 6.0"])
+    def test_non_finite_parameter_fails_validation(self, tmp_path, capsys, line, bad):
+        # the last entry of the line becomes non-finite
+        text = MODEL_TEXT.replace(line, f"{line.rsplit(' ', 1)[0]} {bad}")
+        model = write(tmp_path, "m.txt", text)
+        rc = run_cli(["decode", "--model", model, "--obs", "earthquakes", "--out", tmp_path])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: model-validation: ")
 
     def test_empty_observations_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -314,6 +329,13 @@ class TestCliArtemisAndBlockwise:
         assert {r["method"] for r in rows} == {"posterior", "hybrid(alpha=0.4)", "viterbi"}
         assert {int(r["block_size"]) for r in rows} == {1, 2, 5}
 
+    def test_blockwise_nan_alpha_is_argument_error(self, tmp_path, capsys):
+        model = write(tmp_path, "m.txt", MODEL_TEXT)
+        rc = run_cli(["blockwise", "--model", model, "--out", tmp_path, "--alpha", "nan",
+                      "--n", "50", "--replicates", "1", "--block-sizes", "1"])
+        assert rc == 7
+        assert "argument-error" in capsys.readouterr().err
+
 
 class TestCliSimulate:
     def test_writes_both_series(self, tmp_path):
@@ -329,3 +351,12 @@ class TestCliSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli(["decode", "--model", "earthquakes", "--out", tmp_path])
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    src = str(Path(hp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hmmposterior.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
