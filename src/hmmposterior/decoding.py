@@ -18,6 +18,14 @@ endpoint cases reproduce Posterior decoding and Viterbi exactly, including
 tie handling (ties always break toward the lowest state index).  Viterbi is
 implemented as the alpha = 1 instance of the same kernel, which makes
 endpoint path equality bit-exact rather than merely numerical.
+
+The kernel advances every alpha of a batch together in a state-major layout
+(states first, alpha last), so each maximum over source states is an
+elementwise maximum of K contiguous rows of alpha values.  Its back-pointer
+is the lowest source index whose candidate equals that maximum, which is the
+first-maximum rule of `argmax`; every score is the same sum of the same two
+operands at any batch size, so a batch decodes each alpha exactly as a
+single-alpha call does.
 """
 
 from __future__ import annotations
@@ -65,13 +73,6 @@ def posterior_decode(marginals: np.ndarray) -> np.ndarray:
     return np.argmax(marginals, axis=1) + 1
 
 
-def _renormalize(delta: np.ndarray) -> None:
-    top = delta.max(axis=1)
-    if np.isneginf(top).any():
-        raise ImpossibleSequenceError("every state path has probability zero")
-    delta -= top[:, None]
-
-
 def _decode_paths(
     log_pi: np.ndarray,
     log_gamma: np.ndarray,
@@ -84,68 +85,87 @@ def _decode_paths(
     Returns (len(alphas), n) 0-based paths.  The score rows are shifted by
     their running maximum each step; the shift cancels in every comparison
     and keeps the table well-scaled for arbitrarily long sequences.
+
+    Every array is state-major with alpha last: scores (K, A), weighted
+    transitions (K_src, K_dst, A), local terms (chunk, K, A) and
+    back-pointers (n, K, A) int8.  A reduction over states is then an
+    elementwise operation on K contiguous rows of A values rather than A
+    short inner loops over K.  The back-pointer is the number of leading
+    source rows whose candidate differs from the reduced maximum.  The
+    maximum is exactly one of the candidates (max rounds nothing), so that
+    count is the lowest source index attaining it, which is what `argmax`
+    returns: ties break toward the lowest state index, bit for bit.
+    Local terms are built 512 positions at a time, which bounds the working
+    set beside the back-pointers and the result.
     """
     alphas = np.asarray(alphas, dtype=float)
     n, k = log_em.shape
     if k > 127:
         raise ValueError("decoding supports at most 127 states")
     num_alpha = alphas.size
-    a_col = alphas[:, None]
-    one_minus_a = 1.0 - a_col
+    one_minus_a = 1.0 - alphas
     is_zero = alphas == 0.0
     is_one = alphas == 1.0
     has_zero = bool(is_zero.any())
     has_one = bool(is_one.any())
 
     def local_terms(lo: int, hi: int) -> np.ndarray:
-        # (hi-lo, A, K) array of alpha*log_em + (1-alpha)*log_marg; the
-        # exact-endpoint rows are overwritten so 0 * (-inf) never survives
+        # (hi-lo, K, A) array of alpha*log_em + (1-alpha)*log_marg; the
+        # exact-endpoint columns are overwritten so 0 * (-inf) never survives
         with np.errstate(invalid="ignore"):
-            block = alphas[None, :, None] * log_em[lo:hi, None, :]
-            block += one_minus_a[None, :, :] * log_marg[lo:hi, None, :]
+            block = alphas * log_em[lo:hi, :, None]
+            block += one_minus_a * log_marg[lo:hi, :, None]
             if has_zero:
-                block[:, is_zero, :] = log_marg[lo:hi, None, :]
+                block[:, :, is_zero] = log_marg[lo:hi, :, None]
             if has_one:
-                block[:, is_one, :] = log_em[lo:hi, None, :]
+                block[:, :, is_one] = log_em[lo:hi, :, None]
         return block
 
     with np.errstate(invalid="ignore"):
-        w_trans = alphas[:, None, None] * log_gamma[None, :, :]
+        w_trans = alphas * log_gamma[:, :, None]
         if has_zero:
-            w_trans[is_zero] = 0.0
-        delta = a_col * log_pi[None, :]
+            w_trans[:, :, is_zero] = 0.0
+        delta = alphas * log_pi[:, None]
         if has_zero:
-            delta[is_zero] = 0.0
-    delta = delta + local_terms(0, 1)[0]
-    _renormalize(delta)
+            delta[:, is_zero] = 0.0
+    delta += local_terms(0, 1)[0]
+    top = delta.max(axis=0)
+    if np.isneginf(top).any():
+        raise ImpossibleSequenceError("every state path has probability zero")
+    delta -= top
 
-    back = np.empty((n, num_alpha, k), dtype=np.int8)
-    cand = np.empty((num_alpha, k, k))
-    arg = np.empty((num_alpha, k), dtype=np.intp)
-    top = np.empty(num_alpha)
-    chunk = 4096
+    back = np.empty((n, k, num_alpha), dtype=np.int8)
+    cand = np.empty((k, k, num_alpha))
+    spread = delta[:, None, :]
+    # below[i] becomes 1 where rows 0..i all differ from the maximum, and
+    # back[t] is its sum; the last row needs no test, as some row attains it
+    head = cand[: k - 1]
+    below = np.empty((k - 1, k, num_alpha), dtype=np.int8)
+    chain = [(below[i], below[i - 1]) for i in range(1, k - 1)]
+    chunk = 512
     for lo in range(1, n, chunk):
         hi = min(lo + chunk, n)
-        extra = local_terms(lo, hi)
-        for t in range(lo, hi):
-            np.add(delta[:, :, None], w_trans, out=cand)
-            np.argmax(cand, axis=1, out=arg)
-            back[t] = arg
-            np.maximum.reduce(cand, axis=1, out=delta)
-            delta += extra[t - lo]
-            np.maximum.reduce(delta, axis=1, out=top)
-            delta -= top[:, None]
-        # an all-impossible row turns NaN under the shift; catch per chunk
+        for bt, extra in zip(back[lo:hi], local_terms(lo, hi)):
+            np.add(spread, w_trans, out=cand)
+            np.maximum.reduce(cand, axis=0, out=delta)
+            np.not_equal(head, delta, out=below)
+            for row, prev in chain:
+                row &= prev
+            np.add.reduce(below, axis=0, out=bt)
+            delta += extra
+            np.maximum.reduce(delta, axis=0, out=top)
+            delta -= top
+        # an all-impossible column turns NaN under the shift; catch per chunk
         if np.isnan(delta).any():
             raise ImpossibleSequenceError("every state path has probability zero")
 
     paths = np.empty((num_alpha, n), dtype=np.int64)
-    s = np.argmax(delta, axis=1)
+    cols = np.arange(num_alpha)
+    s = np.argmax(delta, axis=0)
     paths[:, n - 1] = s
-    rows = np.arange(num_alpha)
-    for t in range(n - 1, 0, -1):
-        s = back[t, rows, s].astype(np.int64)
-        paths[:, t - 1] = s
+    for bt, prev in zip(back[:0:-1], paths.T[-2::-1]):
+        s = bt[s, cols]
+        prev[...] = s
     return paths
 
 
@@ -175,7 +195,9 @@ def hybrid_paths(model: HmmModel, tables: FBTables, alphas) -> np.ndarray:
     log_pi, log_gamma = _log_model_terms(model)
     with np.errstate(divide="ignore"):
         log_marg = np.log(posterior_marginals(tables))
-    return _decode_paths(log_pi, log_gamma, tables.log_emissions, log_marg, alphas) + 1
+    paths = _decode_paths(log_pi, log_gamma, tables.log_emissions, log_marg, alphas)
+    paths += 1
+    return paths
 
 
 def _combine(alpha: float, pointwise: float, conditional: float) -> float:

@@ -119,6 +119,11 @@ def as_states(s, num_states: int) -> np.ndarray:
     arr = np.asarray(s)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("state sequence must be a non-empty 1-d array")
+    if not np.issubdtype(arr.dtype, np.integer):
+        cast = arr.astype(np.int64)
+        if not np.array_equal(cast, arr):
+            raise ValueError("state labels must be integers")
+        arr = cast
     arr = arr.astype(np.int64, copy=False)
     if (arr < 1).any() or (arr > num_states).any():
         raise ValueError(f"state labels must lie in 1..{num_states}")

@@ -3,6 +3,9 @@
 Everything here is computed by exhaustive enumeration of the K^n state paths
 with emission probabilities from scipy.stats, independently of the package's
 scaled recursions, so the tests compare two genuinely distinct computations.
+The one exception is `reference_decode`, a plain per-alpha, per-step loop of
+the decoding recursion that pins the batched kernel's tie-breaking bit for
+bit.
 """
 
 from __future__ import annotations
@@ -121,3 +124,38 @@ def best_hybrid_objective(pw, cond, alpha) -> float:
     else:
         h = (1 - alpha) * pw + alpha * cond
     return float(np.max(h))
+
+
+def reference_decode(log_pi, log_gamma, log_em, log_marg, alphas) -> np.ndarray:
+    """(len(alphas), n) 0-based decoding paths, one alpha and one step at a time.
+
+    The decoding recursion written plainly with `np.argmax`: zero-coefficient
+    terms dropped, scores shifted by their maximum each step, and
+    hp.ImpossibleSequenceError once every score of some alpha is -inf.
+    """
+    n, k = log_em.shape
+    paths = np.empty((len(alphas), n), dtype=np.int64)
+    for r, alpha in enumerate(alphas):
+        if alpha == 0.0:
+            start, trans, local = np.zeros(k), np.zeros((k, k)), log_marg
+        elif alpha == 1.0:
+            start, trans, local = log_pi, log_gamma, log_em
+        else:
+            start, trans = alpha * log_pi, alpha * log_gamma
+            local = alpha * log_em + (1.0 - alpha) * log_marg
+        delta = start + local[0]
+        back = np.zeros((n, k), dtype=np.int64)
+        for t in range(n):
+            if t > 0:
+                cand = delta[:, None] + trans
+                back[t] = np.argmax(cand, axis=0)
+                delta = cand.max(axis=0) + local[t]
+            top = delta.max()
+            if top == -np.inf:
+                raise hp.ImpossibleSequenceError("every state path has probability zero")
+            delta = delta - top
+        s = int(np.argmax(delta))
+        for t in range(n - 1, -1, -1):
+            paths[r, t] = s
+            s = back[t, s]
+    return paths

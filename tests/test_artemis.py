@@ -108,6 +108,15 @@ class TestSweep:
             hp.log_joint(model, vit, x), abs=1e-12
         )
 
+    def test_non_integer_true_path_rejected(self):
+        model = small_model()
+        y, x = hp.simulate(model, 60, seed=4)
+        grid = hp.default_alpha_grid(4)
+        as_float = hp.sweep(model, x, y.astype(float), grid)
+        assert np.array_equal(as_float.accuracy, hp.sweep(model, x, y, grid).accuracy)
+        with pytest.raises(ValueError, match="state labels must be integers"):
+            hp.sweep(model, x, y - 0.5, grid)
+
     def test_log_joint_nondecreasing_and_scaling(self):
         model = small_model()
         y, x = hp.simulate(model, 600, seed=12)

@@ -8,6 +8,7 @@ from oracles import (
     enumerate_posterior,
     hybrid_score_components,
     random_instance,
+    reference_decode,
 )
 
 
@@ -115,6 +116,56 @@ class TestHybridDecode:
                 np.full(2, -np.inf), neg_inf, np.zeros((3, 2)), np.zeros((3, 2)),
                 np.array([1.0]),
             )
+
+
+def half_integer_table(rng, shape, live_rows=False):
+    # scores on a half-integer lattice tie often; about 15% are -inf.  With
+    # live_rows, one entry per row stays finite, so that long sequences are
+    # not all impossible
+    table = rng.integers(-6, 1, size=shape) / 2.0
+    dead = rng.random(shape) < 0.15
+    if live_rows:
+        dead[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = False
+    table[dead] = -np.inf
+    return table
+
+
+class TestDecodeKernel:
+    def test_matches_reference_decoder(self):
+        rng = np.random.default_rng(2021)
+        outcomes = []
+        for k in (1, 2, 3, 5):
+            for trial in range(30):
+                # every fifth sequence spans several 512-position blocks
+                n = int(rng.integers(600, 1200)) if trial % 5 == 0 else int(rng.integers(1, 40))
+                alphas = np.concatenate(([0.0, 1.0], rng.integers(1, 8, size=3) / 8.0, rng.random(2)))
+                rng.shuffle(alphas)
+                live = trial % 2 == 0
+                tables = [half_integer_table(rng, shape) for shape in (k, (k, k))]
+                tables += [half_integer_table(rng, (n, k), live) for _ in range(2)]
+                try:
+                    expected = reference_decode(*tables, alphas)
+                except hp.ImpossibleSequenceError:
+                    with pytest.raises(hp.ImpossibleSequenceError):
+                        _decode_paths(*tables, alphas)
+                    outcomes.append((k, n > 512, "impossible"))
+                    continue
+                assert np.array_equal(_decode_paths(*tables, alphas), expected)
+                outcomes.append((k, n > 512, "decoded"))
+        # both outcomes occur for every K, and some long sequences decode
+        for k in (1, 2, 3, 5):
+            assert {o for kk, _, o in outcomes if kk == k} == {"decoded", "impossible"}
+        assert sum(long and o == "decoded" for _, long, o in outcomes) >= 4
+
+    def test_alpha_columns_do_not_mix(self):
+        model = hp.model_grid([0.8], [5])[0]
+        _, x = hp.simulate(model, 20_000, seed=3)
+        tables = hp.forward_backward(model, x)
+        grid = hp.default_alpha_grid()
+        batch = hp.hybrid_paths(model, tables, grid)
+        assert batch.dtype == np.int64 and batch.shape == (257, 20_000)
+        for alpha, row in zip(grid, batch):
+            assert np.array_equal(row, hp.hybrid_paths(model, tables, [alpha])[0])
 
 
 class TestRisks:

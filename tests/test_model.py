@@ -178,6 +178,16 @@ class TestLogJoint:
             mine = np.exp(hp.log_joint(model, p, x) - t.loglik)
             assert mine == pytest.approx(wp, abs=1e-10)
 
+    def test_non_integer_labels_rejected(self):
+        model = hp.model_grid([0.8], [5])[0]
+        x = [20, 20]
+        assert hp.log_joint(model, [1, 2.0], x) == hp.log_joint(model, [1, 2], x)
+        batch = np.array([[1, 2], [3, 3]])
+        assert np.array_equal(hp.log_joint(model, batch.astype(float), x), hp.log_joint(model, batch, x))
+        for bad in ([1.9, 2.5], [[1, 2], [1.9, 2.5]], [1, np.nan]):
+            with pytest.raises(ValueError, match="state labels must be integers"):
+                hp.log_joint(model, bad, x)
+
     def test_path_sum_equals_likelihood(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
