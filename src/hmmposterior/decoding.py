@@ -145,17 +145,19 @@ def _decode_paths(
     chunk = 512
     for lo in range(1, n, chunk):
         hi = min(lo + chunk, n)
-        for bt, extra in zip(back[lo:hi], local_terms(lo, hi)):
-            np.add(spread, w_trans, out=cand)
-            np.maximum.reduce(cand, axis=0, out=delta)
-            np.not_equal(head, delta, out=below)
-            for row, prev in chain:
-                row &= prev
-            np.add.reduce(below, axis=0, out=bt)
-            delta += extra
-            np.maximum.reduce(delta, axis=0, out=top)
-            delta -= top
-        # an all-impossible column turns NaN under the shift; catch per chunk
+        # an all-impossible column turns NaN under the shift (-inf - -inf),
+        # quietly; it is caught once per chunk
+        with np.errstate(invalid="ignore"):
+            for bt, extra in zip(back[lo:hi], local_terms(lo, hi)):
+                np.add(spread, w_trans, out=cand)
+                np.maximum.reduce(cand, axis=0, out=delta)
+                np.not_equal(head, delta, out=below)
+                for row, prev in chain:
+                    row &= prev
+                np.add.reduce(below, axis=0, out=bt)
+                delta += extra
+                np.maximum.reduce(delta, axis=0, out=top)
+                delta -= top
         if np.isnan(delta).any():
             raise ImpossibleSequenceError("every state path has probability zero")
 

@@ -19,7 +19,9 @@ Statistics:
   longest_run  length of the longest state-2 run
 
 Every transition row has at most two nonzero entries drawn from
-{a, 1-a, b, 1-b, 1}, so propagation costs O(n * size).
+{a, 1-a, b, 1-b, 1}, and a step reads only the window of imbedded states
+that hold mass, so propagation costs in proportion to the sum over the n
+steps of that window's width, at most O(n * size).
 """
 
 from __future__ import annotations
@@ -259,23 +261,59 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def _min_from(rows: np.ndarray, values: np.ndarray, size: int) -> list[int]:
+    # out[r] = min of values[e] over the entries with rows[e] >= r; every
+    # row has an entry, so the fill value never survives
+    out = np.full(size, np.iinfo(np.int64).max)
+    np.minimum.at(out, rows, values)
+    return np.minimum.accumulate(out[::-1])[::-1].tolist()
+
+
+def _max_upto(rows: np.ndarray, values: np.ndarray, size: int) -> list[int]:
+    # out[r] = max of values[e] over the entries with rows[e] <= r
+    out = np.full(size, -1)
+    np.maximum.at(out, rows, values)
+    return np.maximum.accumulate(out).tolist()
+
+
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
 
     One sparse vector-matrix product per position; the result sums to one.
+    A step costs in proportion to the width of the window [lo, hi] of
+    imbedded states that hold mass, not to the size of the imbedding.
+    Entries first[lo]:last[hi] cover every entry whose row lies in the
+    window, in the spec's own entry order, and bincount adds each bin's
+    terms in that order.  The slice may take in rows outside the window;
+    they hold exact zeros, and adding +0.0 to a sum of non-negative terms
+    leaves it unchanged, so every bin is bit-identical to the product over
+    all entries (sorting the entries by row would not be: it reorders the
+    sums).  After a step the mass lies within [low[lo], high[hi]], the
+    lowest column of an entry whose row is at least lo and the highest of
+    one whose row is at most hi, and zeros are trimmed off both ends.
     """
     a, b = stay_probabilities(chain)
     v = spec.initial_vector(chain.init[0], chain.init[1])
     rows, cols, kinds = spec.rows, spec.cols, spec.kinds
     size = spec.size
-    coef = np.empty(5)
-    coef[_ONE] = 1.0
-    for t in range(a.size):
-        coef[_A] = a[t]
-        coef[_NA] = 1.0 - a[t]
-        coef[_B] = b[t]
-        coef[_NB] = 1.0 - b[t]
-        v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
+    lo, hi = sorted(spec.eta_slots)
+    index = np.arange(rows.size)
+    first, last = _min_from(rows, index, size), _max_upto(rows, index + 1, size)
+    low, high = _min_from(rows, cols, size), _max_upto(rows, cols, size)
+    coef = np.empty((a.size, 5))
+    coef[:, _A] = a
+    coef[:, _NA] = 1.0 - a
+    coef[:, _B] = b
+    coef[:, _NB] = 1.0 - b
+    coef[:, _ONE] = 1.0
+    for step in coef:
+        live = slice(first[lo], last[hi])
+        v = np.bincount(cols[live], weights=v[rows[live]] * step[kinds[live]], minlength=size)
+        lo, hi = low[lo], high[hi]
+        while lo < hi and v[lo] == 0.0:
+            lo += 1
+        while hi > lo and v[hi] == 0.0:
+            hi -= 1
     return v
 
 

@@ -98,16 +98,25 @@ class HmmModel:
         return x[:, None] * np.log(lam)[None, :] - lam[None, :] - gammaln(x + 1.0)[:, None]
 
 
+def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:
+    # NaN, infinities and floats beyond the int64 range are rejected before
+    # the cast, which would turn them into garbage with a RuntimeWarning
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind in "fc" and not (np.abs(arr) < 2.0**63).all():
+        raise ValueError(f"{what} must be integers")
+    cast = arr.astype(np.int64)
+    if not np.array_equal(cast, arr):
+        raise ValueError(f"{what} must be integers")
+    return cast
+
+
 def as_counts(x) -> np.ndarray:
     """Coerce an observation sequence to a 1-d array of non-negative ints."""
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("observation sequence must be a non-empty 1-d array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        cast = arr.astype(np.int64)
-        if not np.array_equal(cast, arr):
-            raise ValueError("observation counts must be integers")
-        arr = cast
+    arr = _as_int64(arr, "observation counts")
     if (arr < 0).any():
         bad = int(np.argmax(arr < 0))
         raise ValueError(f"negative count {arr[bad]} at position {bad + 1}")
@@ -119,12 +128,7 @@ def as_states(s, num_states: int) -> np.ndarray:
     arr = np.asarray(s)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("state sequence must be a non-empty 1-d array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        cast = arr.astype(np.int64)
-        if not np.array_equal(cast, arr):
-            raise ValueError("state labels must be integers")
-        arr = cast
-    arr = arr.astype(np.int64, copy=False)
+    arr = _as_int64(arr, "state labels")
     if (arr < 1).any() or (arr > num_states).any():
         raise ValueError(f"state labels must lie in 1..{num_states}")
     return arr
@@ -311,6 +315,9 @@ def posterior_marginals(tables: FBTables) -> np.ndarray:
     return tables.fwd_scaled * tables.bwd_scaled
 
 
+_LOG_JOINT_BLOCK = 1 << 20  # gathered terms per block of paths in log_joint
+
+
 def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None):
     """log P(y = s, x) for a 1-based state path s; -inf if any factor is zero.
 
@@ -334,6 +341,12 @@ def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None)
         log_gamma = np.log(np.pad(model.gamma, (1, 0)))
     log_em = np.pad(log_emissions, ((0, 0), (1, 0)))
     total = log_pi[paths[:, 0]] + log_em[0, paths[:, 0]]
-    total += log_gamma[paths[:, :-1], paths[:, 1:]].sum(axis=1)
-    total += log_em[np.arange(1, paths.shape[1]), paths[:, 1:]].sum(axis=1)
+    # the gathered terms are summed a block of whole paths at a time, which
+    # bounds the working set and leaves each path's reduction unchanged
+    steps = np.arange(1, paths.shape[1])
+    block = max(1, _LOG_JOINT_BLOCK // paths.shape[1])
+    for lo in range(0, paths.shape[0], block):
+        rows = paths[lo : lo + block]
+        total[lo : lo + block] += log_gamma[rows[:, :-1], rows[:, 1:]].sum(axis=1)
+        total[lo : lo + block] += log_em[steps, rows[:, 1:]].sum(axis=1)
     return float(total[0]) if s.ndim == 1 else total

@@ -3,9 +3,11 @@
 Everything here is computed by exhaustive enumeration of the K^n state paths
 with emission probabilities from scipy.stats, independently of the package's
 scaled recursions, so the tests compare two genuinely distinct computations.
-The one exception is `reference_decode`, a plain per-alpha, per-step loop of
-the decoding recursion that pins the batched kernel's tie-breaking bit for
-bit.
+The two exceptions are plain loops that pin a fast kernel bit for bit:
+`reference_decode`, the decoding recursion one alpha and one step at a time,
+which pins the batched kernel's tie-breaking, and `reference_propagate`, the
+FMCI product over every entry of the step matrix, which pins the windowed
+propagation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.stats import poisson
 
 import hmmposterior as hp
+from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE
 
 
 def random_model(rng, num_states=2, rate_low=0.2, rate_high=8.0):
@@ -159,3 +162,20 @@ def reference_decode(log_pi, log_gamma, log_em, log_marg, alphas) -> np.ndarray:
             paths[r, t] = s
             s = back[t, s]
     return paths
+
+
+def reference_propagate(spec, chain) -> np.ndarray:
+    """Final imbedded vector, one product over every entry of the step matrix per step."""
+    a, b = hp.stay_probabilities(chain)
+    v = spec.initial_vector(chain.init[0], chain.init[1])
+    rows, cols, kinds = spec.rows, spec.cols, spec.kinds
+    size = spec.size
+    coef = np.empty(5)
+    coef[_ONE] = 1.0
+    for t in range(a.size):
+        coef[_A] = a[t]
+        coef[_NA] = 1.0 - a[t]
+        coef[_B] = b[t]
+        coef[_NB] = 1.0 - b[t]
+        v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
+    return v

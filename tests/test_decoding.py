@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ class TestHybridDecode:
                 np.full(2, -np.inf), neg_inf, np.zeros((3, 2)), np.zeros((3, 2)),
                 np.array([1.0]),
             )
+
+    def test_impossible_column_raises_without_warning(self):
+        # position 700 (in the second 512-position chunk) is impossible in
+        # every state for alpha > 0, so those alphas have no path
+        log_em = np.zeros((900, 2))
+        log_em[700] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hp.ImpossibleSequenceError):
+                _decode_paths(
+                    np.log([0.5, 0.5]), np.log(np.full((2, 2), 0.5)), log_em,
+                    np.zeros((900, 2)), np.array([0.0, 0.5, 1.0]),
+                )
 
 
 def half_integer_table(rng, shape, live_rows=False):

@@ -6,6 +6,7 @@ from oracles import (
     enumerate_posterior,
     oracle_distribution,
     random_instance,
+    reference_propagate,
     statistic_value,
     total_variation,
 )
@@ -212,6 +213,79 @@ class TestPropagateAggregate:
         enter = 1.0 - d_runs.probs[0]
         assert d_pos.tail_prob(1) == pytest.approx(enter, abs=1e-9)
         assert d_long.tail_prob(1) == pytest.approx(enter, abs=1e-9)
+
+
+def random_stay_chain(seed, n):
+    """A random two-state chain whose stay probabilities include exact 0 and 1.
+
+    Some are tiny powers of ten, so that products of them fall into the
+    subnormal range or underflow to exact zeros.
+    """
+    rng = np.random.default_rng(seed)
+    stay = rng.uniform(size=(2, n - 1))
+    stay[rng.random(stay.shape) < 0.2] = 0.0
+    stay[rng.random(stay.shape) < 0.2] = 1.0
+    tiny = rng.random(stay.shape) < 0.15
+    stay[tiny] = 10.0 ** -rng.integers(100, 320, size=tiny.sum())
+    init = rng.choice([0.0, 1.0, rng.uniform()])
+    return manual_chain([init, 1.0 - init], stay[0], stay[1])
+
+
+def prefix(chain, n):
+    return hp.PosteriorChain(init=chain.init, trans=chain.trans[: n - 1])
+
+
+class TestWindowedPropagation:
+    """The windowed kernel against the product over every entry, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def chains(self, lamb_chain, earthquake_model, earthquake_counts):
+        quake = hp.build_posterior_chain(
+            earthquake_model, hp.forward_backward(earthquake_model, earthquake_counts)
+        )
+        fixtures = [lamb_chain, hp.swap_states(lamb_chain), quake]
+        randoms = [random_stay_chain(seed, 30) for seed in range(4)]
+        return fixtures, randoms
+
+    @staticmethod
+    def assert_bit_identical(spec, chain):
+        final = hp.propagate(spec, chain)
+        assert np.array_equal(final, reference_propagate(spec, chain))
+        return final
+
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
+    def test_tight_truncation_reaches_overflow(self, chains, name, builder):
+        fixtures, randoms = chains
+        spec = builder(2)
+        for chain in fixtures:
+            assert self.assert_bit_identical(spec, chain)[-1] > 0.0
+        for chain in randoms:
+            self.assert_bit_identical(spec, chain)
+
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
+    def test_moderate_truncation(self, chains, name, builder):
+        fixtures, randoms = chains
+        spec = builder(12)
+        for chain in fixtures + randoms:
+            self.assert_bit_identical(spec, chain)
+
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
+    def test_truncation_far_above_support(self, chains, name, builder):
+        # no statistic of an n-step path exceeds n, so ell = 4n leaves most
+        # imbedded states without mass for the whole sequence
+        fixtures, randoms = chains
+        n = 30
+        spec = builder(4 * n)
+        for chain in [prefix(c, n) for c in fixtures] + randoms:
+            assert self.assert_bit_identical(spec, chain)[-1] == 0.0
+
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
+    def test_one_and_two_positions(self, name, builder):
+        spec = builder(3)
+        for init in ([0.3, 0.7], [1.0, 0.0], [0.0, 1.0]):
+            self.assert_bit_identical(spec, manual_chain(init, [], []))
+            for stay1, stay2 in ((0.25, 0.6), (0.0, 1.0), (1.0, 0.0)):
+                self.assert_bit_identical(spec, manual_chain(init, [stay1], [stay2]))
 
 
 class TestExpectedRunCounts:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -143,6 +145,13 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="negative"):
             hp.forward_backward(earthquake_model, [1, -2, 3])
 
+    def test_rejects_non_finite_counts_without_warning(self, earthquake_model):
+        for bad in ([1, np.nan, 3], [np.inf, 2.0], [1.0, -np.inf], [2.0, 1e20]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="observation counts must be integers"):
+                    hp.forward_backward(earthquake_model, bad)
+
 
 class TestPosteriorMarginals:
     def test_rows_sum_to_one(self, lamb_tables):
@@ -184,9 +193,11 @@ class TestLogJoint:
         assert hp.log_joint(model, [1, 2.0], x) == hp.log_joint(model, [1, 2], x)
         batch = np.array([[1, 2], [3, 3]])
         assert np.array_equal(hp.log_joint(model, batch.astype(float), x), hp.log_joint(model, batch, x))
-        for bad in ([1.9, 2.5], [[1, 2], [1.9, 2.5]], [1, np.nan]):
-            with pytest.raises(ValueError, match="state labels must be integers"):
-                hp.log_joint(model, bad, x)
+        for bad in ([1.9, 2.5], [[1, 2], [1.9, 2.5]], [1, np.nan], [np.inf, 1], [[1, 2], [2, -np.inf]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="state labels must be integers"):
+                    hp.log_joint(model, bad, x)
 
     def test_path_sum_equals_likelihood(self):
         rng = np.random.default_rng(31)
