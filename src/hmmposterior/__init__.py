@@ -50,7 +50,6 @@ from .fmci import (
     build_positions_chain,
     build_spec,
     expected_exact_run_counts,
-    path_statistic,
     propagate,
 )
 from .model import (

@@ -137,12 +137,9 @@ def cmd_fmci(args) -> int:
     requested = args.statistic or list(_STATISTICS)
     parsed = [_parse_statistic(s) for s in requested]
 
-    sampled = None
-    if args.ell == "auto":
-        sampled = sample_posterior_paths(chain, args.samples, args.seed)
     for statistic, run_length in parsed:
         if args.ell == "auto":
-            ell = auto_truncation(sampled, statistic, run_length)
+            ell = auto_truncation(chain, statistic, run_length)
             print(f"auto truncation for {statistic}: {ell}")
         else:
             ell = int(args.ell)
@@ -155,10 +152,7 @@ def cmd_fmci(args) -> int:
             f"wrote {out / f'fmci_{suffix}.csv'}"
         )
     if args.expected_runs:
-        if args.ell == "auto":
-            ell = auto_truncation(sampled, "runs")
-        else:
-            ell = int(args.ell)
+        ell = None if args.ell == "auto" else int(args.ell)
         counts = expected_exact_run_counts(chain, args.expected_runs, ell)
         io.write_run_counts_csv(out / "expected_run_counts.csv", counts)
         print(f"wrote {out / 'expected_run_counts.csv'}")
@@ -210,6 +204,11 @@ def cmd_artemis(args) -> int:
         model, args.n, args.replicates, alphas, args.seed, on_replicate=save_curve
     )
     io.write_study_csv(out / "artemis_study.csv", report)
+    if all(alpha is None for alpha in report.optimal_alphas):
+        raise DegenerateScalingError(
+            "every replicate's sweep had constant axes, so no optimal alpha is "
+            f"defined; per-replicate labels are in {out / 'artemis_study.csv'}"
+        )
     print(f"average_optimal_alpha={report.average:.12g} std={report.std:.12g}")
     print(f"wrote {out / 'artemis_study.csv'}")
     return 0
@@ -265,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="jumps, runs, positions, longest-run, or exact-run:K; "
                         "repeatable (default: all but exact-run)")
     p.add_argument("--ell", default="auto",
-                   help="truncation level, or 'auto' to choose from sampled paths")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="posterior sample size for auto truncation")
+                   help="truncation level, or 'auto': exact for the counting "
+                        "statistics, overflow at most 1e-12 for longest-run")
     p.add_argument("--expected-runs", type=int, default=0, metavar="K_MAX",
                    help="also emit expected exact-run counts for k = 1..K_MAX")
     p.add_argument("--target-state", type=int, choices=(1, 2), default=2,

@@ -5,8 +5,10 @@ b_t (state 2), each supported statistic gets an augmented (counter, situation)
 Markov chain whose step-t transition matrix is a sparse function of
 (a_t, b_t).  Propagating the augmented initial vector through the sequence
 and aggregating the final vector yields the exact posterior distribution of
-the statistic, truncated at a user-chosen level with the remaining mass
-reported as an explicit ">= truncation+1" overflow bucket.
+the statistic, truncated at a level ell with the remaining mass reported as
+an explicit ">= ell+1" overflow bucket.  auto_truncation chooses ell from the
+chain, without sampling: exact for the counting statistics, overflow at most
+1e-12 for longest_run.
 
 Statistics:
 
@@ -44,12 +46,14 @@ __all__ = [
     "propagate",
     "aggregate",
     "expected_exact_run_counts",
-    "path_statistic",
     "auto_truncation",
 ]
 
 # coefficient kinds for sparse entries
 _A, _NA, _B, _NB, _ONE = 0, 1, 2, 3, 4
+
+# largest overflow mass auto_truncation allows for longest_run
+OVERFLOW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -380,15 +384,20 @@ class ExpectedRunCounts:
 
 
 def expected_exact_run_counts(
-    chain: PosteriorChain, k_max: int, truncation: int
+    chain: PosteriorChain, k_max: int, truncation: int | None = None
 ) -> ExpectedRunCounts:
-    """Expected count of exact-length-k runs for k = 1..k_max."""
+    """Expected count of exact-length-k runs for k = 1..k_max.
+
+    With truncation None each k is propagated at auto_truncation's exact
+    level, so every count is exact.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     expected = np.empty(k_max)
     lower = np.zeros(k_max, dtype=bool)
     for k in range(1, k_max + 1):
-        spec = build_exact_run_chain(k, truncation)
+        ell = auto_truncation(chain, "exact_run", k) if truncation is None else truncation
+        spec = build_exact_run_chain(k, ell)
         dist = aggregate(spec, propagate(spec, chain))
         expected[k - 1] = dist.mean_lower_bound()
         lower[k - 1] = dist.overflow > 1e-9
@@ -397,48 +406,34 @@ def expected_exact_run_counts(
     )
 
 
-def _run_lengths(in_target: np.ndarray) -> np.ndarray:
-    padded = np.concatenate(([0], in_target.astype(np.int8), [0]))
-    edges = np.diff(padded)
-    return np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+def auto_truncation(chain: PosteriorChain, statistic: str, run_length: int | None = None) -> int:
+    """Truncation level for a statistic, computed from the chain alone.
 
-
-def path_statistic(paths: np.ndarray, statistic: str, run_length: int | None = None) -> np.ndarray:
-    """Evaluate a pattern statistic on each row of an (m, n) array of 1-based states."""
-    paths = np.atleast_2d(np.asarray(paths))
-    in2 = paths == 2
-    if statistic == "jumps":
-        return ((paths[:, :-1] == 1) & in2[:, 1:]).sum(axis=1)
-    if statistic == "runs":
-        return ((paths[:, :-1] == 1) & in2[:, 1:]).sum(axis=1) + in2[:, 0]
-    if statistic == "positions":
-        return in2.sum(axis=1)
-    if statistic == "longest_run":
-        return np.array(
-            [lengths.max() if (lengths := _run_lengths(row)).size else 0 for row in in2]
-        )
-    if statistic == "exact_run":
-        if run_length is None:
-            raise ValueError("exact_run requires run_length")
-        return np.array([int((_run_lengths(row) == run_length).sum()) for row in in2])
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def auto_truncation(
-    paths: np.ndarray,
-    statistic: str,
-    run_length: int | None = None,
-    margin: int | None = None,
-) -> int:
-    """Choose a truncation from sampled paths: observed maximum plus a margin.
-
-    The default margin is max(5, observed maximum).  At least 100 sampled
-    paths are required so the observed maximum is a meaningful guide.
+    Counting statistics get the largest value any path of length n can take,
+    so their overflow is exactly 0.  longest_run gets the smallest ell whose
+    union bound P(L >= ell+1) <= sum_t s_t * prod_{j=1..ell} b_{t+j} is at
+    most OVERFLOW_TOL, where s_1 = P(y_1 = 2 | x) and s_t = 1 - a_t bound the
+    probability that a state-2 run starts at t.
     """
-    paths = np.atleast_2d(np.asarray(paths))
-    if paths.shape[0] < 100:
-        raise ValueError(f"need at least 100 sampled paths, got {paths.shape[0]}")
-    observed = int(path_statistic(paths, statistic, run_length).max())
-    if margin is None:
-        margin = max(5, observed)
-    return observed + margin
+    n = chain.n
+    if statistic == "jumps":
+        return max(n // 2, 1)
+    if statistic == "runs":
+        return max((n + 1) // 2, 1)
+    if statistic == "positions":
+        return n
+    if statistic == "exact_run":
+        if run_length is None or run_length < 1:
+            raise ValueError("exact_run requires a run_length of at least 1")
+        return max((n + 1) // (run_length + 1), 1)
+    if statistic != "longest_run":
+        raise ValueError(f"unknown statistic {statistic!r}")
+    a, b = stay_probabilities(chain)
+    # bound[t] = s_t * prod of the next ell stay probabilities, for the runs
+    # that can still be longer than ell
+    bound = np.concatenate(([chain.init[1]], 1.0 - a))[:-1] * b
+    ell = 1
+    while bound.sum() > OVERFLOW_TOL:  # empty, so 0, once ell reaches n
+        ell += 1
+        bound = bound[:-1] * b[ell - 1 :]
+    return ell

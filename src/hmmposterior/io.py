@@ -43,6 +43,8 @@ __all__ = [
     "write_run_counts_csv",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class ParseError(ValueError):
     """An input file could not be parsed; the message names file and line."""
@@ -121,6 +123,8 @@ def read_counts(path) -> np.ndarray:
             raise ParseError(f"{path}:{lineno}: not an integer: {token!r}") from exc
         if v < 0:
             raise ParseError(f"{path}:{lineno}: negative count {v}")
+        if v > _INT64_MAX:
+            raise ParseError(f"{path}:{lineno}: count {v} exceeds the int64 range")
         values.append(v)
     if not values:
         raise ParseError(f"{path}: no observations found")

@@ -276,7 +276,7 @@ def forward_backward(model: HmmModel, x) -> FBTables:
     c = f.sum()
     if c <= 0.0:
         raise ImpossibleObservationError(
-            f"count {x[0]} at position 1 has zero emission probability in every state"
+            f"no state the initial distribution allows can emit count {x[0]} at position 1"
         )
     fwd[0] = f / c
     log_scale[0] = np.log(c) + shift[0]

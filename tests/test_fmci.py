@@ -312,39 +312,96 @@ class TestExpectedRunCounts:
         counts = hp.expected_exact_run_counts(lamb_chain, k_max=7, truncation=20)
         samples = hp.sample_posterior_paths(lamb_chain, 1000, seed=9)
         for k in range(1, 8):
-            empirical = hp.path_statistic(samples, "exact_run", k).astype(float)
+            empirical = np.array([statistic_value(p, "exact_run", k) for p in samples], float)
             se = empirical.std(ddof=1) / np.sqrt(len(empirical))
             assert abs(counts.expected[k - 1] - empirical.mean()) <= 4 * se + 0.01
 
 
-class TestPathStatisticAndTruncation:
-    def test_path_statistic_agrees_with_oracle(self):
-        rng = np.random.default_rng(52)
-        paths = rng.integers(1, 3, size=(200, 9))
-        for statistic, k in [("jumps", None), ("runs", None), ("positions", None),
-                             ("longest_run", None), ("exact_run", 2)]:
-            mine = hp.path_statistic(paths, statistic, k)
-            expected = [statistic_value(p, statistic, k) for p in paths]
-            assert np.array_equal(mine, expected)
+COUNTING = [("jumps", None), ("runs", None), ("positions", None),
+            ("exact_run", 1), ("exact_run", 2), ("exact_run", 3)]
 
-    def test_margin_floor(self):
-        paths = np.ones((150, 12), dtype=np.int64)
-        assert hp.auto_truncation(paths, "jumps") == 5
 
-    def test_margin_grows_with_observations(self, lamb_chain):
-        samples = hp.sample_posterior_paths(lamb_chain, 1000, seed=0)
-        observed = int(hp.path_statistic(samples, "jumps").max())
-        ell = hp.auto_truncation(samples, "jumps")
-        assert ell == observed + max(5, observed)
+def union_bound(chain, ell):
+    """sum_t s_t * prod_{j=1..ell} b_{t+j}, s_1 = P(y_1 = 2 | x), s_t = 1 - a_t."""
+    a, b = hp.stay_probabilities(chain)
+    s = [chain.init[1]] + list(1.0 - a)
+    # b_t is b[t - 2]; a run starting at t can exceed ell only if t + ell <= n
+    return sum(s[t - 1] * np.prod(b[t - 1 : t - 1 + ell]) for t in range(1, chain.n - ell + 1))
 
-    def test_explicit_margin_override(self):
-        paths = np.ones((150, 12), dtype=np.int64)
-        paths[:, 3] = 2
-        assert hp.auto_truncation(paths, "positions", margin=3) == 4
 
-    def test_requires_enough_samples(self):
-        with pytest.raises(ValueError, match="100"):
-            hp.auto_truncation(np.ones((99, 5), dtype=np.int64), "jumps")
+class TestAutoTruncation:
+    def test_counting_levels_are_exact_on_enumerable_instances(self):
+        rng = np.random.default_rng(606)
+        instances = [random_instance(rng, n_low=n, n_high=n) for n in (1, 2)]
+        instances += [random_instance(rng, n_low=3, n_high=10) for _ in range(12)]
+        for model, x in instances:
+            chain = hp.build_posterior_chain(model, hp.forward_backward(model, x))
+            paths, _, w, _ = enumerate_posterior(model, x)
+            for statistic, run_length in COUNTING:
+                ell = hp.auto_truncation(chain, statistic, run_length)
+                # the largest value over every path, possible or not
+                top = max(statistic_value(p, statistic, run_length) for p in paths)
+                assert ell == max(top, 1)
+                dist = fmci_distribution(chain, statistic, ell, run_length)
+                assert dist.overflow == 0.0
+                oracle = oracle_distribution(paths, w, statistic, ell, run_length)
+                mine = np.concatenate([dist.probs, [dist.overflow]])
+                assert total_variation(mine, oracle) < 1e-9
+
+    def test_counting_levels_are_exact_on_lamb(self, lamb_chain):
+        for chain in (lamb_chain, hp.swap_states(lamb_chain)):
+            for statistic, run_length in COUNTING:
+                ell = hp.auto_truncation(chain, statistic, run_length)
+                dist = fmci_distribution(chain, statistic, ell, run_length)
+                assert dist.overflow == 0.0
+                wider = fmci_distribution(chain, statistic, ell + 5, run_length)
+                assert np.allclose(dist.probs, wider.probs[: ell + 1], rtol=0.0, atol=1e-15)
+                assert wider.probs[ell + 1 :].sum() == 0.0
+
+    def test_longest_run_level_is_smallest_within_tolerance(
+        self, lamb_chain, earthquake_model, earthquake_counts
+    ):
+        quake = hp.build_posterior_chain(
+            earthquake_model, hp.forward_backward(earthquake_model, earthquake_counts)
+        )
+        assert hp.fmci.OVERFLOW_TOL == 1e-12
+        for chain in (lamb_chain, hp.swap_states(lamb_chain), quake):
+            ell = hp.auto_truncation(chain, "longest_run")
+            overflow = fmci_distribution(chain, "longest_run", ell).overflow
+            assert overflow <= union_bound(chain, ell) <= 1e-12
+            assert ell > 1 and union_bound(chain, ell - 1) > 1e-12
+
+    def test_longest_run_level_on_enumerable_instances(self):
+        rng = np.random.default_rng(707)
+        for n in (1, 2, 3, 6, 10):
+            model, x = random_instance(rng, n_low=n, n_high=n)
+            chain = hp.build_posterior_chain(model, hp.forward_backward(model, x))
+            paths, _, w, _ = enumerate_posterior(model, x)
+            ell = hp.auto_truncation(chain, "longest_run")
+            assert 1 <= ell <= n and union_bound(chain, ell) <= 1e-12
+            if ell > 1:
+                assert union_bound(chain, ell - 1) > 1e-12
+            oracle = oracle_distribution(paths, w, "longest_run", ell)
+            dist = fmci_distribution(chain, "longest_run", ell)
+            assert dist.overflow <= 1e-12 and oracle[-1] <= 1e-12
+            assert total_variation(np.concatenate([dist.probs, [dist.overflow]]), oracle) < 1e-9
+
+    def test_expected_run_counts_at_auto_levels(self):
+        rng = np.random.default_rng(808)
+        model, x = random_instance(rng, n_low=8, n_high=10)
+        chain = hp.build_posterior_chain(model, hp.forward_backward(model, x))
+        paths, _, w, _ = enumerate_posterior(model, x)
+        counts = hp.expected_exact_run_counts(chain, k_max=4, truncation=None)
+        assert not counts.lower_bound.any()
+        for k in range(1, 5):
+            expected = sum(wp * statistic_value(p, "exact_run", k) for p, wp in zip(paths, w))
+            assert counts.expected[k - 1] == pytest.approx(expected, abs=1e-12)
+
+    def test_rejects_bad_arguments(self, lamb_chain):
+        with pytest.raises(ValueError):
+            hp.auto_truncation(lamb_chain, "visits")
+        with pytest.raises(ValueError):
+            hp.auto_truncation(lamb_chain, "exact_run")
 
 
 class TestFetalLambPublishedValues:
@@ -368,7 +425,7 @@ class TestFetalLambPublishedValues:
             ("exact_run", 2, 12),
         ]:
             dist = fmci_distribution(lamb_chain, statistic, ell, run_length)
-            values = hp.path_statistic(samples, statistic, run_length)
+            values = np.array([statistic_value(p, statistic, run_length) for p in samples])
             for v in range(ell + 1):
                 p = dist.probs[v]
                 freq = (values == v).mean()

@@ -77,6 +77,12 @@ class TestReadCounts:
         with pytest.raises(io.ParseError, match="two"):
             io.read_counts(p)
 
+    def test_int64_range_boundary(self, tmp_path):
+        top = 2**63 - 1
+        assert io.read_counts(write(tmp_path, "top.csv", f"{top}\n")).tolist() == [top]
+        with pytest.raises(io.ParseError, match=r"over\.csv:1"):
+            io.read_counts(write(tmp_path, "over.csv", f"{top + 1}\n"))
+
     def test_fixture_lengths(self):
         assert io.read_counts(fixture_path("earthquakes", "obs")).size == 107
         assert io.read_counts(fixture_path("fetal-lamb", "obs")).size == 225
@@ -165,6 +171,14 @@ class TestCliDecode:
         err = capsys.readouterr().err
         assert "parse-error" in err and "empty.csv" in err
 
+    def test_count_beyond_int64_parse_error(self, tmp_path, capsys):
+        obs = write(tmp_path, "huge.csv", "3\n100000000000000000000000000000\n")
+        rc = run_cli(["decode", "--model", "earthquakes", "--obs", obs, "--out", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse-error: ")
+        assert "huge.csv:2" in err[0]
+
 
 class TestCliFmci:
     def test_positions_tail_from_published_analysis(self, tmp_path):
@@ -201,10 +215,10 @@ class TestCliFmci:
 
     def test_auto_truncation_logged(self, tmp_path, capsys):
         rc = run_cli(["fmci", "--model", "fetal-lamb", "--obs", "fetal-lamb",
-                      "--out", tmp_path, "--renormalize", "--statistic", "jumps",
-                      "--samples", "200", "--seed", "3"])
+                      "--out", tmp_path, "--renormalize", "--statistic", "jumps"])
         assert rc == 0
-        assert "auto truncation for jumps" in capsys.readouterr().out
+        # n = 225 positions hold at most 112 jumps, so the level is exact
+        assert "auto truncation for jumps: 112" in capsys.readouterr().out
 
     def test_exact_run_statistic_and_expected_counts(self, tmp_path):
         rc = run_cli(["fmci", "--model", "fetal-lamb", "--obs", "fetal-lamb",
@@ -317,6 +331,16 @@ class TestCliArtemisAndBlockwise:
             assert rc == 0
         assert (tmp_path / "a" / "artemis_study.csv").read_text() == (
             tmp_path / "b" / "artemis_study.csv").read_text()
+
+    def test_artemis_all_replicates_degenerate_exit(self, tmp_path, capsys):
+        rc = run_cli(["artemis", "--model", "earthquakes", "--out", tmp_path,
+                      "--n", "1", "--replicates", "1", "--alpha-grid", "2"])
+        assert rc == 5
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: degenerate-scaling:")
+        assert "nan" not in captured.out
+        assert (tmp_path / "artemis_study.csv").exists()
 
     def test_blockwise_outputs(self, tmp_path):
         model = tmp_path / "m.txt"

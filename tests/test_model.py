@@ -145,6 +145,16 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="negative"):
             hp.forward_backward(earthquake_model, [1, -2, 3])
 
+    def test_first_position_names_the_allowed_states(self):
+        # pi allows only state 1, whose emission of a 2 at rate 1e-320 underflows
+        # (a 1 does not: its probability stays subnormal, not zero)
+        m = two_state([1.0, 0.0], [[0.9, 0.1], [0.2, 0.8]], [1e-320, 5.0])
+        with pytest.raises(hp.ImpossibleObservationError) as exc:
+            hp.forward_backward(m, [2, 1, 3])
+        message = str(exc.value)
+        assert "no state the initial distribution allows can emit count 2" in message
+        assert "position 1" in message and "every state" not in message
+
     def test_rejects_non_finite_counts_without_warning(self, earthquake_model):
         for bad in ([1, np.nan, 3], [np.inf, 2.0], [1.0, -np.inf], [2.0, 1e20]):
             with warnings.catch_warnings():
