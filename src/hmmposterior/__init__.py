@@ -9,10 +9,7 @@ rule for choosing the interpolation weight.
 
 from . import io
 from .artemis import (
-    ArtemisCurve,
-    BlockwiseRow,
     DegenerateScalingError,
-    StudyReport,
     artemis_study,
     blockwise_accuracy,
     blockwise_study,
@@ -31,7 +28,6 @@ from .chain import (
     swap_states,
 )
 from .decoding import (
-    DecodeResult,
     ImpossibleSequenceError,
     hybrid_decode,
     hybrid_paths,
@@ -39,9 +35,6 @@ from .decoding import (
     viterbi,
 )
 from .fmci import (
-    Distribution,
-    ExpectedRunCounts,
-    ImbeddingSpec,
     aggregate,
     auto_truncation,
     build_exact_run_chain,
@@ -64,6 +57,5 @@ from .model import (
     simulate,
     validate_model,
 )
-from .seeding import substream_seed
 
 __version__ = "0.1.0"

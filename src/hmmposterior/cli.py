@@ -230,8 +230,8 @@ def cmd_simulate(args) -> int:
     model = _load_model(args)
     out = _outdir(args)
     states, counts = simulate(model, args.n, args.seed)
-    io.write_counts(out / "observations.csv", counts)
-    io.write_states(out / "states.csv", states)
+    io.write_column(out / "observations.csv", "count", counts)
+    io.write_column(out / "states.csv", "state", states)
     print(f"wrote {out / 'observations.csv'} and {out / 'states.csv'}")
     return 0
 
@@ -311,6 +311,7 @@ _ERROR_CATEGORIES = [
     (ImpossibleSequenceError, "impossible-sequence", 6),
     (ValueError, "argument-error", 7),
     (OSError, "io-error", 8),
+    (MemoryError, "out-of-memory", 9),
 ]
 
 

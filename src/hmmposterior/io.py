@@ -17,7 +17,6 @@ on.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,7 @@ __all__ = [
     "ParseError",
     "read_model",
     "read_counts",
-    "write_counts",
-    "write_states",
+    "write_column",
     "write_decode_csv",
     "write_distribution_csv",
     "write_samples_csv",
@@ -44,14 +42,11 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_ROW_BLOCK = 256  # rows formatted per block by _write_table
 
 
 class ParseError(ValueError):
     """An input file could not be parsed; the message names file and line."""
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.12g}"
 
 
 def read_model(path) -> HmmModel:
@@ -131,120 +126,121 @@ def read_counts(path) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _open_writer(path):
-    return open(path, "w", newline="")
+def _cells(column) -> list[str]:
+    """Format a column by the one cell rule of every table file.
+
+    Integers and bools print as decimals, floats with 12 significant digits,
+    strings as given and None as an empty cell.  A numpy column takes the
+    rule once for all its cells; any other sequence takes it cell by cell.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        return [f"{v:.12g}" for v in column.tolist()]
+    if kind in "biu":
+        return list(map(str, map(int, column.tolist())))
+    return [
+        v if isinstance(v, str)
+        else "" if v is None
+        else str(int(v)) if isinstance(v, (int, np.integer, np.bool_))
+        else f"{float(v):.12g}"
+        for v in column
+    ]
 
 
-def write_counts(path, counts) -> None:
-    with _open_writer(path) as fh:
-        fh.write("count\n")
-        fh.writelines(f"{int(v)}\n" for v in counts)
+def _write_table(path, columns: dict, footer=(), end="\r\n") -> None:
+    """Write named columns under a header row, then the footer rows.
+
+    Lines end in CRLF, the line ending of Python's csv module.  Cells are
+    never quoted, so none may hold a comma, a quote or a line break.  Rows
+    are formatted a block at a time, so the cell strings of a long table are
+    never all alive at once.
+    """
+    n = len(next(iter(columns.values())))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + end)
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = zip(*(_cells(column[lo:lo + _ROW_BLOCK]) for column in columns.values()))
+            fh.writelines(",".join(row) + end for row in rows)
+        fh.writelines(",".join(_cells(row)) + end for row in footer)
 
 
-def write_states(path, states) -> None:
-    with _open_writer(path) as fh:
-        fh.write("state\n")
-        fh.writelines(f"{int(v)}\n" for v in states)
+def write_column(path, name, values) -> None:
+    """Write one column under its header with LF line ends; read_counts reads it back."""
+    _write_table(path, {name: values}, end="\n")
 
 
 def write_decode_csv(path, x, posterior, viterbi_path, hybrid, hybrid_marginal) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["t", "observation", "posterior_state", "viterbi_state", "hybrid_state",
-             "marginal_prob_of_hybrid_state"]
-        )
-        for t in range(len(x)):
-            w.writerow(
-                [t + 1, int(x[t]), int(posterior[t]), int(viterbi_path[t]),
-                 int(hybrid[t]), _fmt(hybrid_marginal[t])]
-            )
+    _write_table(path, {
+        "t": np.arange(1, len(x) + 1),
+        "observation": x,
+        "posterior_state": posterior,
+        "viterbi_state": viterbi_path,
+        "hybrid_state": hybrid,
+        "marginal_prob_of_hybrid_state": hybrid_marginal,
+    })
 
 
 def write_distribution_csv(path, dist: Distribution) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["value", "probability"])
-        for v, p in zip(dist.support, dist.probs):
-            w.writerow([int(v), _fmt(p)])
-        w.writerow([f">={dist.truncation + 1}", _fmt(dist.overflow)])
+    _write_table(path, {"value": dist.support, "probability": dist.probs},
+                 footer=[(f">={dist.truncation + 1}", dist.overflow)])
 
 
 def write_samples_csv(path, paths) -> None:
+    """One row per sampled path, streamed through a table of label strings."""
     paths = np.asarray(paths)
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow([f"t_{t + 1}" for t in range(paths.shape[1])])
+    labels = np.array([str(k) for k in range(paths.max(initial=0) + 1)], dtype=object)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"t_{t + 1}" for t in range(paths.shape[1])) + "\r\n")
         for row in paths:
-            w.writerow([int(v) for v in row])
+            fh.write(",".join(labels[row]) + "\r\n")
 
 
 def write_frequency_csv(path, frequencies, marginals) -> None:
     frequencies = np.asarray(frequencies)
     marginals = np.asarray(marginals)
     k = frequencies.shape[1]
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["t"]
-            + [f"frequency_state_{j + 1}" for j in range(k)]
-            + [f"marginal_state_{j + 1}" for j in range(k)]
-        )
-        for t in range(frequencies.shape[0]):
-            w.writerow(
-                [t + 1]
-                + [_fmt(v) for v in frequencies[t]]
-                + [_fmt(v) for v in marginals[t]]
-            )
+    _write_table(path, {
+        "t": np.arange(1, frequencies.shape[0] + 1),
+        **{f"frequency_state_{j + 1}": frequencies[:, j] for j in range(k)},
+        **{f"marginal_state_{j + 1}": marginals[:, j] for j in range(k)},
+    })
 
 
 def write_stay_csv(path, stays: tuple[np.ndarray, np.ndarray]) -> None:
     a, b = stays
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "a", "b"])
-        for i in range(a.size):
-            w.writerow([i + 2, _fmt(a[i]), _fmt(b[i])])
+    _write_table(path, {"t": np.arange(2, a.size + 2), "a": a, "b": b})
 
 
 def write_curve_csv(path, curve: ArtemisCurve) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "accuracy", "log_joint", "scaled_accuracy", "scaled_log_joint"])
-        for i in range(curve.alphas.size):
-            w.writerow(
-                [_fmt(curve.alphas[i]), _fmt(curve.accuracy[i]), _fmt(curve.log_joint[i]),
-                 _fmt(curve.scaled_accuracy[i]), _fmt(curve.scaled_log_joint[i])]
-            )
+    _write_table(path, {
+        "alpha": curve.alphas,
+        "accuracy": curve.accuracy,
+        "log_joint": curve.log_joint,
+        "scaled_accuracy": curve.scaled_accuracy,
+        "scaled_log_joint": curve.scaled_log_joint,
+    })
 
 
 def write_study_csv(path, report: StudyReport) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "optimal_alpha", "status"])
-        for r, (value, label) in enumerate(zip(report.optimal_alphas, report.labels)):
-            w.writerow([r + 1, "" if value is None else _fmt(value), label])
-        w.writerow(["average", _fmt(report.average), ""])
-        w.writerow(["std", _fmt(report.std), ""])
+    _write_table(path, {
+        "replicate": np.arange(1, len(report.labels) + 1),
+        "optimal_alpha": report.optimal_alphas,
+        "status": report.labels,
+    }, footer=[("average", report.average, ""), ("std", report.std, "")])
 
 
 def write_blockwise_csv(path, rows: list[BlockwiseRow]) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["block_size", "method", "mean_accuracy", "mean_accuracy_minus_posterior"])
-        for row in rows:
-            w.writerow(
-                [row.block_size, row.method, _fmt(row.mean_accuracy),
-                 _fmt(row.mean_accuracy_minus_posterior)]
-            )
+    _write_table(path, {
+        "block_size": [row.block_size for row in rows],
+        "method": [row.method for row in rows],
+        "mean_accuracy": [row.mean_accuracy for row in rows],
+        "mean_accuracy_minus_posterior": [row.mean_accuracy_minus_posterior for row in rows],
+    })
 
 
 def write_run_counts_csv(path, counts: ExpectedRunCounts) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "expected_count", "lower_bound_flag"])
-        for i in range(counts.run_lengths.size):
-            w.writerow(
-                [int(counts.run_lengths[i]), _fmt(counts.expected[i]),
-                 int(counts.lower_bound[i])]
-            )
+    _write_table(path, {
+        "k": counts.run_lengths,
+        "expected_count": counts.expected,
+        "lower_bound_flag": counts.lower_bound,
+    })

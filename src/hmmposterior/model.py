@@ -222,9 +222,10 @@ class FBTables:
     """Scaled forward and backward tables for one observation sequence.
 
     fwd_scaled[t] sums to one; the normalizers satisfy
-    ``alpha_t(j) = fwd_scaled[t, j] * prod(scale[:t+1])`` and
-    ``beta_t(j) = bwd_scaled[t, j] * prod(scale[t+1:])`` for the unscaled
-    forward/backward probabilities.  ``loglik`` is log P(x) = sum(log scale).
+    ``alpha_t(j) = fwd_scaled[t, j] * exp(sum(log_scale[:t+1]))`` and
+    ``beta_t(j) = bwd_scaled[t, j] * exp(sum(log_scale[t+1:]))`` for the
+    unscaled forward/backward probabilities.  ``loglik`` is log P(x) =
+    sum(log_scale).
 
     log_emissions and log_scale are carried along so downstream posterior
     algebra (conditional transition matrices, decoding scores) can be formed
@@ -233,7 +234,6 @@ class FBTables:
 
     fwd_scaled: np.ndarray
     bwd_scaled: np.ndarray
-    scale: np.ndarray
     loglik: float
     log_emissions: np.ndarray
     log_scale: np.ndarray
@@ -303,7 +303,6 @@ def forward_backward(model: HmmModel, x) -> FBTables:
     return FBTables(
         fwd_scaled=fwd,
         bwd_scaled=bwd,
-        scale=_frozen(np.exp(log_scale)),
         loglik=float(log_scale.sum()),
         log_emissions=log_em,
         log_scale=log_scale,

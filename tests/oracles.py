@@ -3,15 +3,17 @@
 Everything here is computed by exhaustive enumeration of the K^n state paths
 with emission probabilities from scipy.stats, independently of the package's
 scaled recursions, so the tests compare two genuinely distinct computations.
-The two exceptions are plain loops that pin a fast kernel bit for bit:
+The exceptions are plain loops that pin a fast kernel bit for bit:
 `reference_decode`, the decoding recursion one alpha and one step at a time,
-which pins the batched kernel's tie-breaking, and `reference_propagate`, the
+which pins the batched kernel's tie-breaking; `reference_propagate`, the
 FMCI product over every entry of the step matrix, which pins the windowed
-propagation.
+propagation; and the `reference_write_*` functions, `csv.writer` loops that
+pin the bytes of every output file.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -179,3 +181,126 @@ def reference_propagate(spec, chain) -> np.ndarray:
         coef[_NB] = 1.0 - b[t]
         v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
     return v
+
+
+def _fmt(v) -> str:
+    return f"{float(v):.12g}"
+
+
+def _open_writer(path):
+    return open(path, "w", newline="")
+
+
+def reference_write_counts(path, counts) -> None:
+    with _open_writer(path) as fh:
+        fh.write("count\n")
+        fh.writelines(f"{int(v)}\n" for v in counts)
+
+
+def reference_write_states(path, states) -> None:
+    with _open_writer(path) as fh:
+        fh.write("state\n")
+        fh.writelines(f"{int(v)}\n" for v in states)
+
+
+def reference_write_decode_csv(path, x, posterior, viterbi_path, hybrid, hybrid_marginal) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["t", "observation", "posterior_state", "viterbi_state", "hybrid_state",
+             "marginal_prob_of_hybrid_state"]
+        )
+        for t in range(len(x)):
+            w.writerow(
+                [t + 1, int(x[t]), int(posterior[t]), int(viterbi_path[t]),
+                 int(hybrid[t]), _fmt(hybrid_marginal[t])]
+            )
+
+
+def reference_write_distribution_csv(path, dist) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["value", "probability"])
+        for v, p in zip(dist.support, dist.probs):
+            w.writerow([int(v), _fmt(p)])
+        w.writerow([f">={dist.truncation + 1}", _fmt(dist.overflow)])
+
+
+def reference_write_samples_csv(path, paths) -> None:
+    paths = np.asarray(paths)
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow([f"t_{t + 1}" for t in range(paths.shape[1])])
+        for row in paths:
+            w.writerow([int(v) for v in row])
+
+
+def reference_write_frequency_csv(path, frequencies, marginals) -> None:
+    frequencies = np.asarray(frequencies)
+    marginals = np.asarray(marginals)
+    k = frequencies.shape[1]
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["t"]
+            + [f"frequency_state_{j + 1}" for j in range(k)]
+            + [f"marginal_state_{j + 1}" for j in range(k)]
+        )
+        for t in range(frequencies.shape[0]):
+            w.writerow(
+                [t + 1]
+                + [_fmt(v) for v in frequencies[t]]
+                + [_fmt(v) for v in marginals[t]]
+            )
+
+
+def reference_write_stay_csv(path, stays: tuple[np.ndarray, np.ndarray]) -> None:
+    a, b = stays
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "a", "b"])
+        for i in range(a.size):
+            w.writerow([i + 2, _fmt(a[i]), _fmt(b[i])])
+
+
+def reference_write_curve_csv(path, curve) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["alpha", "accuracy", "log_joint", "scaled_accuracy", "scaled_log_joint"])
+        for i in range(curve.alphas.size):
+            w.writerow(
+                [_fmt(curve.alphas[i]), _fmt(curve.accuracy[i]), _fmt(curve.log_joint[i]),
+                 _fmt(curve.scaled_accuracy[i]), _fmt(curve.scaled_log_joint[i])]
+            )
+
+
+def reference_write_study_csv(path, report) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["replicate", "optimal_alpha", "status"])
+        for r, (value, label) in enumerate(zip(report.optimal_alphas, report.labels)):
+            w.writerow([r + 1, "" if value is None else _fmt(value), label])
+        w.writerow(["average", _fmt(report.average), ""])
+        w.writerow(["std", _fmt(report.std), ""])
+
+
+def reference_write_blockwise_csv(path, rows) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["block_size", "method", "mean_accuracy", "mean_accuracy_minus_posterior"])
+        for row in rows:
+            w.writerow(
+                [row.block_size, row.method, _fmt(row.mean_accuracy),
+                 _fmt(row.mean_accuracy_minus_posterior)]
+            )
+
+
+def reference_write_run_counts_csv(path, counts) -> None:
+    with _open_writer(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "expected_count", "lower_bound_flag"])
+        for i in range(counts.run_lengths.size):
+            w.writerow(
+                [int(counts.run_lengths[i]), _fmt(counts.expected[i]),
+                 int(counts.lower_bound[i])]
+            )

@@ -98,7 +98,6 @@ class TestBuildPosteriorChain:
         tables = hp.FBTables(
             fwd_scaled=t.fwd_scaled,
             bwd_scaled=doctored,
-            scale=t.scale,
             loglik=t.loglik,
             log_emissions=t.log_emissions,
             log_scale=t.log_scale,

@@ -1,15 +1,23 @@
 import csv
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hmmposterior as hp
-from hmmposterior import io
+import oracles
+from hmmposterior import cli, io
+from hmmposterior.artemis import ArtemisCurve, BlockwiseRow, StudyReport
 from hmmposterior.cli import main
 from hmmposterior.data import fixture_path
+from hmmposterior.fmci import Distribution, ExpectedRunCounts
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, text):
@@ -116,6 +124,82 @@ class TestCsvRoundTrip:
             assert float(row[0]) == pytest.approx(alpha, abs=1e-12)
             assert float(row[1]) == pytest.approx(acc, rel=1e-11)
             assert float(row[2]) == pytest.approx(lj, rel=1e-11)
+
+
+def _writer_cases():
+    """(name, writer call, reference call) on edge inputs for every writer."""
+    edge = np.array([0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, float("nan")])
+    top = np.iinfo(np.int64).max
+    counts = np.array([0, 7, top, 1, 12, 3])
+    states = np.array([1, 2, 2, 1, 1, 2])
+    stays = (edge, edge[::-1].copy())
+    study = StudyReport(optimal_alphas=(0.1 + 0.2, None, 5e-324),
+                        labels=("ok", "degenerate-scaling", "ok"),
+                        average=float("nan"), std=-0.0)
+    lone = StudyReport(optimal_alphas=(None,), labels=("degenerate-scaling",),
+                       average=float("nan"), std=float("nan"))
+    rows = [BlockwiseRow(1, "posterior", 0.1 + 0.2, 0.0),
+            BlockwiseRow(2, "hybrid(alpha=0.42)", 1e-300, -0.0),
+            BlockwiseRow(500, "viterbi", 5e-324, float("nan"))]
+    curve = ArtemisCurve(alphas=edge, accuracy=edge[::-1].copy(), log_joint=-edge,
+                         scaled_accuracy=edge, scaled_log_joint=edge, optimal_alpha=None)
+    run_counts = ExpectedRunCounts(run_lengths=np.arange(1, 7), expected=edge,
+                                   lower_bound=np.array([True, False] * 3))
+    cases = [
+        ("counts", (io.write_column, "count", counts), (oracles.reference_write_counts, counts)),
+        ("counts n=1", (io.write_column, "count", counts[2:3]),
+         (oracles.reference_write_counts, counts[2:3])),
+        ("states", (io.write_column, "state", states), (oracles.reference_write_states, states)),
+        ("decode", (io.write_decode_csv, counts, states, states[::-1], states, edge),
+         (oracles.reference_write_decode_csv, counts, states, states[::-1], states, edge)),
+        ("decode n=1", (io.write_decode_csv, [top], [2], [1], [2], [0.1 + 0.2]),
+         (oracles.reference_write_decode_csv, [top], [2], [1], [2], [0.1 + 0.2])),
+        ("stay", (io.write_stay_csv, stays), (oracles.reference_write_stay_csv, stays)),
+        ("stay n=1", (io.write_stay_csv, (edge[:0], edge[:0])),
+         (oracles.reference_write_stay_csv, (edge[:0], edge[:0]))),
+        ("curve", (io.write_curve_csv, curve), (oracles.reference_write_curve_csv, curve)),
+        ("study", (io.write_study_csv, study), (oracles.reference_write_study_csv, study)),
+        ("study n=1", (io.write_study_csv, lone), (oracles.reference_write_study_csv, lone)),
+        ("blockwise", (io.write_blockwise_csv, rows), (oracles.reference_write_blockwise_csv, rows)),
+        ("run counts", (io.write_run_counts_csv, run_counts),
+         (oracles.reference_write_run_counts_csv, run_counts)),
+    ]
+    for n in (6, 1):
+        dist = Distribution("jumps", np.arange(n), edge[:n], overflow=edge[-n])
+        cases.append((f"distribution n={n}", (io.write_distribution_csv, dist),
+                      (oracles.reference_write_distribution_csv, dist)))
+        freq, marg = np.stack([edge[:n], edge[::-1][:n]], axis=1), np.stack([edge[:n]] * 2, 1)
+        cases.append((f"frequency n={n}", (io.write_frequency_csv, freq, marg),
+                      (oracles.reference_write_frequency_csv, freq, marg)))
+    rng = np.random.default_rng(11)
+    for k in (1, 9, 10, 127):
+        for n in (1, 40):
+            paths = rng.integers(1, k + 1, size=(3, n))
+            paths[0, 0] = k
+            cases.append((f"samples K={k} n={n}", (io.write_samples_csv, paths),
+                          (oracles.reference_write_samples_csv, paths)))
+    return cases
+
+
+def test_writers_match_the_csv_writer_reference(tmp_path):
+    mismatched = []
+    for i, (name, (writer, *args), (reference, *ref_args)) in enumerate(_writer_cases()):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        writer(got, *args)
+        reference(want, *ref_args)
+        if got.read_bytes() != want.read_bytes():
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_readme_library_block_runs(monkeypatch):
+    readme = (REPO_ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    monkeypatch.chdir(REPO_ROOT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def run_cli(args):
@@ -297,7 +381,7 @@ class TestCliArtemisAndBlockwise:
         # seed 0 gives an instance where the decoders disagree, so the
         # sweep is non-degenerate and the crossing is defined
         y, x = hp.simulate(hp.validate_model(m), 300, seed=0)
-        io.write_counts(tmp_path / "x.csv", x)
+        io.write_column(tmp_path / "x.csv", "count", x)
         (tmp_path / "y.csv").write_text("\n".join(str(v) for v in y) + "\n")
         rc = run_cli(["artemis", "--model", model_path, "--obs", tmp_path / "x.csv",
                       "--states", tmp_path / "y.csv", "--out", tmp_path,
@@ -312,7 +396,7 @@ class TestCliArtemisAndBlockwise:
         # seed 2 gives an instance where every hybrid path coincides, so
         # both axes are constant; the curve file is still produced
         y, x = hp.simulate(hp.validate_model(m), 300, seed=2)
-        io.write_counts(tmp_path / "x.csv", x)
+        io.write_column(tmp_path / "x.csv", "count", x)
         (tmp_path / "y.csv").write_text("\n".join(str(v) for v in y) + "\n")
         rc = run_cli(["artemis", "--model", model_path, "--obs", tmp_path / "x.csv",
                       "--states", tmp_path / "y.csv", "--out", tmp_path,
@@ -375,6 +459,22 @@ class TestCliSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli(["decode", "--model", "earthquakes", "--out", tmp_path])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, target, args", [
+    ("sample", "sample_posterior_paths",
+     ["--obs", "earthquakes", "--samples", "1000000000"]),
+    ("artemis", "default_alpha_grid", ["--alpha-grid", "100000000000"]),
+])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command, target, args):
+    def allocate(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 149. TiB for an array")
+
+    monkeypatch.setattr(cli, target, allocate)
+    rc = run_cli([command, "--model", "earthquakes", "--out", tmp_path, *args])
+    assert rc == 9
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out-of-memory: Unable to allocate 149. TiB for an array"]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

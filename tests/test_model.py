@@ -130,7 +130,7 @@ class TestForwardBackward:
         bwd[n - 1] = 1.0
         for u in range(n - 2, -1, -1):
             bwd[u] = model.gamma @ (em[u + 1] * bwd[u + 1])
-        prefix = np.cumprod(t.scale)
+        prefix = np.cumprod(np.exp(t.log_scale))
         suffix = prefix[-1] / prefix  # prod of scales strictly after t
         assert np.allclose(t.fwd_scaled * prefix[:, None], fwd, rtol=1e-10)
         assert np.allclose(t.bwd_scaled * suffix[:, None], bwd, rtol=1e-10)
