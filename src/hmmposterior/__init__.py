@@ -37,10 +37,6 @@ from .decoding import (
 from .fmci import (
     aggregate,
     auto_truncation,
-    build_exact_run_chain,
-    build_jump_chain,
-    build_longest_run_chain,
-    build_positions_chain,
     build_spec,
     expected_exact_run_counts,
     propagate,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: decode, fmci, sample, artemis, blockwise, simulate.  Every
-command is deterministic given its arguments including --seed; outputs are
-CSV files in the --out directory plus a one-line summary on stdout.  The
-bundled datasets can be named directly: --model fetal-lamb --obs fetal-lamb
-(or earthquakes).
+command is deterministic given its arguments.  sample, artemis, blockwise
+and simulate draw their random numbers from --seed; decode and fmci accept
+--seed but draw none.  Outputs are CSV files in the --out directory plus a
+one-line summary on stdout.  The bundled datasets can be named directly:
+--model fetal-lamb --obs fetal-lamb (or earthquakes).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _parse_statistic(spec: str) -> tuple[str, int | None]:
+def _parse_statistic(spec: str, n: int) -> tuple[str, int | None]:
     if spec in _STATISTICS:
         return spec.replace("-", "_"), None
     if spec.startswith("exact-run:"):
@@ -87,11 +88,26 @@ def _parse_statistic(spec: str) -> tuple[str, int | None]:
             raise ValueError(f"bad exact-run length in {spec!r}") from None
         if k < 1:
             raise ValueError("exact-run length must be at least 1")
+        if k > n:
+            raise ValueError(f"exact-run length {k} exceeds the series length n = {n}")
         return "exact_run", k
     raise ValueError(
         f"unknown statistic {spec!r}; choose from "
         f"{', '.join(_STATISTICS)} or exact-run:K"
     )
+
+
+def _parse_ell(text: str) -> int | None:
+    """None for 'auto', else the truncation level, at least 1."""
+    if text == "auto":
+        return None
+    try:
+        ell = int(text)
+    except ValueError:
+        ell = 0
+    if ell < 1:
+        raise ValueError(f"--ell must be 'auto' or an integer of at least 1, got {text!r}")
+    return ell
 
 
 def cmd_decode(args) -> int:
@@ -127,6 +143,13 @@ def cmd_fmci(args) -> int:
             "function of a Markov chain need not be Markov"
         )
     x = _load_counts(args)
+    fixed_ell = _parse_ell(args.ell)
+    parsed = [_parse_statistic(s, x.size) for s in args.statistic or _STATISTICS]
+    if not 0 <= args.expected_runs <= x.size:
+        raise ValueError(
+            f"--expected-runs must be between 0 and the series length n = {x.size}, "
+            f"got {args.expected_runs}"
+        )
     out = _outdir(args)
     tables = forward_backward(model, x)
     chain = build_posterior_chain(model, tables)
@@ -134,15 +157,11 @@ def cmd_fmci(args) -> int:
         chain = swap_states(chain)
     io.write_stay_csv(out / "stay_probs.csv", stay_probabilities(chain))
 
-    requested = args.statistic or list(_STATISTICS)
-    parsed = [_parse_statistic(s) for s in requested]
-
     for statistic, run_length in parsed:
-        if args.ell == "auto":
+        ell = fixed_ell
+        if ell is None:
             ell = auto_truncation(chain, statistic, run_length)
             print(f"auto truncation for {statistic}: {ell}")
-        else:
-            ell = int(args.ell)
         spec = build_spec(statistic, ell, run_length)
         dist = aggregate(spec, propagate(spec, chain))
         suffix = statistic if run_length is None else f"{statistic}_{run_length}"
@@ -152,8 +171,7 @@ def cmd_fmci(args) -> int:
             f"wrote {out / f'fmci_{suffix}.csv'}"
         )
     if args.expected_runs:
-        ell = None if args.ell == "auto" else int(args.ell)
-        counts = expected_exact_run_counts(chain, args.expected_runs, ell)
+        counts = expected_exact_run_counts(chain, args.expected_runs, fixed_ell)
         io.write_run_counts_csv(out / "expected_run_counts.csv", counts)
         print(f"wrote {out / 'expected_run_counts.csv'}")
     return 0
@@ -243,23 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, obs=True):
+    def common(p, obs=True, draws=True):
         p.add_argument("--model", required=True,
                        help="model file, or a bundled name (fetal-lamb, earthquakes)")
         if obs:
             p.add_argument("--obs", help="observation CSV, or a bundled name")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="64-bit master seed" if draws
+                       else "unused: this subcommand draws no random numbers")
         p.add_argument("--renormalize", action="store_true",
                        help="rescale probability rows that sum to 1 only within 1e-2")
 
     p = sub.add_parser("decode", help="Posterior, Viterbi, and hybrid decoding")
-    common(p)
+    common(p, draws=False)
     p.add_argument("--alpha", type=float, default=0.5, help="hybrid weight in [0, 1]")
     p.set_defaults(func=cmd_decode, obs_required=True)
 
     p = sub.add_parser("fmci", help="exact posterior pattern distributions")
-    common(p)
+    common(p, draws=False)
     p.add_argument("--statistic", action="append",
                    help="jumps, runs, positions, longest-run, or exact-run:K; "
                         "repeatable (default: all but exact-run)")

@@ -20,6 +20,19 @@ Statistics:
                current length
   longest_run  length of the longest state-2 run
 
+Blocks and templates.  The imbedding of a counting statistic is ell + 1
+blocks of identical situations, block c for the paths that have counted c
+so far, followed by one absorbing overflow state.  jumps, runs and
+positions have two situations per block (in state 2, in state 1); exact_run
+with run length k has k + 2 (a run already longer than k, in state 1, and a
+run of length 1..k in progress).  One block's transitions, its template,
+describe the whole step matrix: each template entry (src, dst, kind,
+advance) is repeated in every block, and an entry with advance 1 counts one
+more, so it lands in the next block, or in the overflow state from the last
+block.  longest_run is the exception: its block m holds the run lengths
+1..m in progress, so its blocks grow with m and it is built by a loop of
+its own.
+
 Every transition row has at most two nonzero entries drawn from
 {a, 1-a, b, 1-b, 1}, and a step reads only the window of imbedded states
 that hold mass, so propagation costs in proportion to the sum over the n
@@ -38,10 +51,6 @@ __all__ = [
     "ImbeddingSpec",
     "Distribution",
     "ExpectedRunCounts",
-    "build_jump_chain",
-    "build_positions_chain",
-    "build_exact_run_chain",
-    "build_longest_run_chain",
     "build_spec",
     "propagate",
     "aggregate",
@@ -54,6 +63,12 @@ _A, _NA, _B, _NB, _ONE = 0, 1, 2, 3, 4
 
 # largest overflow mass auto_truncation allows for longest_run
 OVERFLOW_TOL = 1e-12
+
+# one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
+# state 1", and a 1 -> 2 transition counts one more
+_JUMP_BLOCK = ((0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 0, _NA, 1))
+# positions: every step spent in state 2 counts one more
+_POSITIONS_BLOCK = ((0, 0, _B, 1),) + _JUMP_BLOCK[1:]
 
 
 @dataclass(frozen=True)
@@ -69,7 +84,10 @@ class ImbeddingSpec:
                   designates the overflow bucket.
 
     rows/cols/kinds encode the sparse step matrix: entry (rows[e], cols[e])
-    holds a, 1-a, b, 1-b or 1 according to kinds[e].
+    holds a, 1-a, b, 1-b or 1 according to kinds[e].  For every statistic
+    but longest_run, state c * width + s is situation s of block c (see the
+    module docstring) and the last state is the overflow; the entries run
+    block by block in the template's order, then the overflow's self-loop.
     """
 
     statistic: str
@@ -90,18 +108,15 @@ class ImbeddingSpec:
         return v
 
 
-def _freeze_spec(statistic, truncation, size, run_length, eta_slots, values, entries):
-    rows = np.array([e[0] for e in entries], dtype=np.int64)
-    cols = np.array([e[1] for e in entries], dtype=np.int64)
-    kinds = np.array([e[2] for e in entries], dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    assert values.size == size
-    for a in (rows, cols, kinds, values):
+def _freeze_spec(statistic, truncation, run_length, eta_slots, values, rows, cols, kinds):
+    arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (values, rows, cols, kinds)]
+    for a in arrays:
         a.flags.writeable = False
+    values, rows, cols, kinds = arrays
     return ImbeddingSpec(
         statistic=statistic,
         truncation=truncation,
-        size=size,
+        size=values.size,
         run_length=run_length,
         eta_slots=eta_slots,
         values=values,
@@ -111,106 +126,34 @@ def _freeze_spec(statistic, truncation, size, run_length, eta_slots, values, ent
     )
 
 
-def build_jump_chain(truncation: int, mode: str = "jumps") -> ImbeddingSpec:
-    """Imbedding for the number of 1 -> 2 jumps, or of state-2 runs.
+def _tiled(statistic, ell, width, template, eta_slots, run_length=None, open_run=None):
+    """ell + 1 blocks of `width` situations, each stepping by `template`.
 
-    States come in (count, current-state) pairs: index 2c is (c, in state 2),
-    index 2c+1 is (c, in state 1), for c = 0..truncation, plus an absorbing
-    overflow state; 2*truncation + 3 states in total.  In "jumps" mode a
-    start in state 2 counts zero, in "runs" mode it opens a run and counts
-    one.
+    `open_run` is the exact_run situation that counts one more when the
+    sequence ends in it.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    if mode not in ("jumps", "runs"):
-        raise ValueError(f"mode must be 'jumps' or 'runs', got {mode!r}")
-    ell = truncation
-    size = 2 * ell + 3
-    overflow = size - 1
-    entries = []
-    values = np.empty(size, dtype=np.int64)
-    for c in range(ell + 1):
-        in2, in1 = 2 * c, 2 * c + 1
-        values[in2] = values[in1] = c
-        entries.append((in2, in2, _B))
-        entries.append((in2, in1, _NB))
-        entries.append((in1, in1, _A))
-        entries.append((in1, 2 * (c + 1) if c < ell else overflow, _NA))
-    values[overflow] = ell + 1
-    entries.append((overflow, overflow, _ONE))
-    eta_slots = (1, 0) if mode == "jumps" else (1, 2)
-    return _freeze_spec(mode, ell, size, None, eta_slots, values, entries)
+    src, dst, kind, advance = np.array(template, dtype=np.int64).T
+    base = np.arange(ell + 1, dtype=np.int64)[:, None] * width
+    overflow = (ell + 1) * width
+    rows = np.append(base + src, overflow)
+    cols = np.append(np.minimum(base + dst + advance * width, overflow), overflow)
+    kinds = np.append(np.tile(kind, ell + 1), _ONE)
+    values = np.arange(overflow + 1, dtype=np.int64) // width
+    if open_run is not None:
+        values[open_run::width] += 1
+    return _freeze_spec(statistic, ell, run_length, eta_slots, values, rows, cols, kinds)
 
 
-def build_positions_chain(truncation: int) -> ImbeddingSpec:
-    """Imbedding for the total number of positions in state 2.
-
-    Index 0 is (0 positions, in state 1); for c = 1..truncation index 2c-1 is
-    (c, in state 2) and index 2c is (c, in state 1); the last of the
-    2*truncation + 2 states absorbs counts beyond the truncation.  Entering
-    or remaining in state 2 increments the count.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    ell = truncation
-    size = 2 * ell + 2
-    overflow = size - 1
-    entries = [(0, 0, _A), (0, 1, _NA)]
-    values = np.empty(size, dtype=np.int64)
-    values[0] = 0
-    for c in range(1, ell + 1):
-        in2, in1 = 2 * c - 1, 2 * c
-        values[in2] = values[in1] = c
-        entries.append((in2, 2 * c + 1 if c < ell else overflow, _B))
-        entries.append((in2, in1, _NB))
-        entries.append((in1, in1, _A))
-        entries.append((in1, 2 * c + 1 if c < ell else overflow, _NA))
-    values[overflow] = ell + 1
-    entries.append((overflow, overflow, _ONE))
-    return _freeze_spec("positions", ell, size, None, (0, 1), values, entries)
+def _exact_run_block(k: int) -> list[tuple[int, int, int, int]]:
+    # situation 0: the run is longer than k; 1: in state 1; 2..k+1: a run of
+    # length 1..k.  Only a run that ends at exactly k counts.
+    block = [(0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 2, _NA, 0)]
+    for j in range(2, k + 1):
+        block += [(j, j + 1, _B, 0), (j, 1, _NB, 0)]
+    return block + [(k + 1, 0, _B, 0), (k + 1, 1, _NB, 1)]
 
 
-def build_exact_run_chain(run_length: int, truncation: int) -> ImbeddingSpec:
-    """Imbedding for the count of state-2 runs of exactly `run_length`.
-
-    Block m tracks "m completed runs of the target length" with run_length+2
-    situations: an overshoot state (current run already longer than the
-    target), the in-state-1 state, and one state per in-progress run length
-    1..run_length.  Finishing a run at exactly the target length moves to the
-    next block; extending it past the target moves to the overshoot state.
-    The final vector is read with the open run at the sequence end included:
-    ending in the "run length == target" state counts one more run.
-    """
-    if run_length < 1:
-        raise ValueError("run length must be at least 1")
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    k, ell = run_length, truncation
-    width = k + 2
-    size = (ell + 1) * width + 1
-    overflow = size - 1
-    entries = []
-    values = np.empty(size, dtype=np.int64)
-    for m in range(ell + 1):
-        base = m * width
-        values[base : base + width] = m
-        values[base + k + 1] = min(m + 1, ell + 1)  # open run of exactly k at the end
-        entries.append((base, base, _B))  # overshoot keeps running
-        entries.append((base, base + 1, _NB))  # overlong run ends, not counted
-        entries.append((base + 1, base + 1, _A))
-        entries.append((base + 1, base + 2, _NA))  # a new run starts
-        for j in range(2, k + 1):  # run of length j-1 < k
-            entries.append((base + j, base + j + 1, _B))
-            entries.append((base + j, base + 1, _NB))  # ends short, not counted
-        done = base + width + 1 if m < ell else overflow
-        entries.append((base + k + 1, base, _B))  # grows past k: overshoot
-        entries.append((base + k + 1, done, _NB))  # completed at exactly k
-    values[overflow] = ell + 1
-    entries.append((overflow, overflow, _ONE))
-    return _freeze_spec("exact_run", ell, size, k, (1, 2), values, entries)
-
-
-def build_longest_run_chain(truncation: int) -> ImbeddingSpec:
+def _longest_run_spec(ell: int) -> ImbeddingSpec:
     """Imbedding for the longest state-2 run.
 
     Block m means "longest run so far is m".  Block 0 is the single state
@@ -219,9 +162,6 @@ def build_longest_run_chain(truncation: int) -> ImbeddingSpec:
     block m+1 (or the overflow state beyond the truncation); shorter runs
     move within their block.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    ell = truncation
     bases = np.empty(ell + 1, dtype=np.int64)
     bases[0] = 0
     off = 1
@@ -247,21 +187,29 @@ def build_longest_run_chain(truncation: int) -> ImbeddingSpec:
         entries.append((base + m - 1, state1, _NB))
     values[overflow] = ell + 1
     entries.append((overflow, overflow, _ONE))
-    return _freeze_spec("longest_run", ell, size, None, (0, 1), values, entries)
+    rows, cols, kinds = np.array(entries, dtype=np.int64).T
+    return _freeze_spec("longest_run", ell, None, (0, 1), values, rows, cols, kinds)
 
 
 def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
     """The imbedding for a statistic by name; exact_run also needs run_length."""
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
     if statistic in ("jumps", "runs"):
-        return build_jump_chain(truncation, mode=statistic)
+        # a start in state 2 opens a run but is no jump
+        eta_slots = (1, 0) if statistic == "jumps" else (1, 2)
+        return _tiled(statistic, truncation, 2, _JUMP_BLOCK, eta_slots)
     if statistic == "positions":
-        return build_positions_chain(truncation)
+        return _tiled(statistic, truncation, 2, _POSITIONS_BLOCK, (1, 2))
     if statistic == "longest_run":
-        return build_longest_run_chain(truncation)
+        return _longest_run_spec(truncation)
     if statistic == "exact_run":
         if run_length is None:
             raise ValueError("exact_run requires run_length")
-        return build_exact_run_chain(run_length, truncation)
+        if run_length < 1:
+            raise ValueError("run length must be at least 1")
+        k = run_length
+        return _tiled(statistic, truncation, k + 2, _exact_run_block(k), (1, 2), k, k + 1)
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -397,7 +345,7 @@ def expected_exact_run_counts(
     lower = np.zeros(k_max, dtype=bool)
     for k in range(1, k_max + 1):
         ell = auto_truncation(chain, "exact_run", k) if truncation is None else truncation
-        spec = build_exact_run_chain(k, ell)
+        spec = build_spec("exact_run", ell, k)
         dist = aggregate(spec, propagate(spec, chain))
         expected[k - 1] = dist.mean_lower_bound()
         lower[k - 1] = dist.overflow > 1e-9

@@ -58,7 +58,7 @@ def read_model(path) -> HmmModel:
     gamma_rows: list[tuple[int, list[float]]] = []
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read model file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,7 +103,7 @@ def read_counts(path) -> np.ndarray:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read observations: {exc}") from exc
     values: list[int] = []
     for lineno, raw in enumerate(lines, start=1):

@@ -7,8 +7,10 @@ The exceptions are plain loops that pin a fast kernel bit for bit:
 `reference_decode`, the decoding recursion one alpha and one step at a time,
 which pins the batched kernel's tie-breaking; `reference_propagate`, the
 FMCI product over every entry of the step matrix, which pins the windowed
-propagation; and the `reference_write_*` functions, `csv.writer` loops that
-pin the bytes of every output file.
+propagation; the `reference_build_*` functions, one Python loop per FMCI
+imbedding, which pin the arrays of `build_spec`; and the
+`reference_write_*` functions, `csv.writer` loops that pin the bytes of
+every output file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.stats import poisson
 
 import hmmposterior as hp
-from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE
+from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE, ImbeddingSpec
 
 
 def random_model(rng, num_states=2, rate_low=0.2, rate_high=8.0):
@@ -181,6 +183,166 @@ def reference_propagate(spec, chain) -> np.ndarray:
         coef[_NB] = 1.0 - b[t]
         v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
     return v
+
+
+def _reference_spec(statistic, truncation, size, run_length, eta_slots, values, entries):
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    kinds = np.array([e[2] for e in entries], dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    assert values.size == size
+    for a in (rows, cols, kinds, values):
+        a.flags.writeable = False
+    return ImbeddingSpec(
+        statistic=statistic,
+        truncation=truncation,
+        size=size,
+        run_length=run_length,
+        eta_slots=eta_slots,
+        values=values,
+        rows=rows,
+        cols=cols,
+        kinds=kinds,
+    )
+
+
+def reference_build_jump_chain(truncation: int, mode: str = "jumps") -> ImbeddingSpec:
+    """Imbedding for the number of 1 -> 2 jumps, or of state-2 runs.
+
+    States come in (count, current-state) pairs: index 2c is (c, in state 2),
+    index 2c+1 is (c, in state 1), for c = 0..truncation, plus an absorbing
+    overflow state; 2*truncation + 3 states in total.  In "jumps" mode a
+    start in state 2 counts zero, in "runs" mode it opens a run and counts
+    one.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    if mode not in ("jumps", "runs"):
+        raise ValueError(f"mode must be 'jumps' or 'runs', got {mode!r}")
+    ell = truncation
+    size = 2 * ell + 3
+    overflow = size - 1
+    entries = []
+    values = np.empty(size, dtype=np.int64)
+    for c in range(ell + 1):
+        in2, in1 = 2 * c, 2 * c + 1
+        values[in2] = values[in1] = c
+        entries.append((in2, in2, _B))
+        entries.append((in2, in1, _NB))
+        entries.append((in1, in1, _A))
+        entries.append((in1, 2 * (c + 1) if c < ell else overflow, _NA))
+    values[overflow] = ell + 1
+    entries.append((overflow, overflow, _ONE))
+    eta_slots = (1, 0) if mode == "jumps" else (1, 2)
+    return _reference_spec(mode, ell, size, None, eta_slots, values, entries)
+
+
+def reference_build_positions_chain(truncation: int) -> ImbeddingSpec:
+    """Imbedding for the total number of positions in state 2.
+
+    Index 0 is (0 positions, in state 1); for c = 1..truncation index 2c-1 is
+    (c, in state 2) and index 2c is (c, in state 1); the last of the
+    2*truncation + 2 states absorbs counts beyond the truncation.  Entering
+    or remaining in state 2 increments the count.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    ell = truncation
+    size = 2 * ell + 2
+    overflow = size - 1
+    entries = [(0, 0, _A), (0, 1, _NA)]
+    values = np.empty(size, dtype=np.int64)
+    values[0] = 0
+    for c in range(1, ell + 1):
+        in2, in1 = 2 * c - 1, 2 * c
+        values[in2] = values[in1] = c
+        entries.append((in2, 2 * c + 1 if c < ell else overflow, _B))
+        entries.append((in2, in1, _NB))
+        entries.append((in1, in1, _A))
+        entries.append((in1, 2 * c + 1 if c < ell else overflow, _NA))
+    values[overflow] = ell + 1
+    entries.append((overflow, overflow, _ONE))
+    return _reference_spec("positions", ell, size, None, (0, 1), values, entries)
+
+
+def reference_build_exact_run_chain(run_length: int, truncation: int) -> ImbeddingSpec:
+    """Imbedding for the count of state-2 runs of exactly `run_length`.
+
+    Block m tracks "m completed runs of the target length" with run_length+2
+    situations: an overshoot state (current run already longer than the
+    target), the in-state-1 state, and one state per in-progress run length
+    1..run_length.  Finishing a run at exactly the target length moves to the
+    next block; extending it past the target moves to the overshoot state.
+    The final vector is read with the open run at the sequence end included:
+    ending in the "run length == target" state counts one more run.
+    """
+    if run_length < 1:
+        raise ValueError("run length must be at least 1")
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    k, ell = run_length, truncation
+    width = k + 2
+    size = (ell + 1) * width + 1
+    overflow = size - 1
+    entries = []
+    values = np.empty(size, dtype=np.int64)
+    for m in range(ell + 1):
+        base = m * width
+        values[base : base + width] = m
+        values[base + k + 1] = min(m + 1, ell + 1)  # open run of exactly k at the end
+        entries.append((base, base, _B))  # overshoot keeps running
+        entries.append((base, base + 1, _NB))  # overlong run ends, not counted
+        entries.append((base + 1, base + 1, _A))
+        entries.append((base + 1, base + 2, _NA))  # a new run starts
+        for j in range(2, k + 1):  # run of length j-1 < k
+            entries.append((base + j, base + j + 1, _B))
+            entries.append((base + j, base + 1, _NB))  # ends short, not counted
+        done = base + width + 1 if m < ell else overflow
+        entries.append((base + k + 1, base, _B))  # grows past k: overshoot
+        entries.append((base + k + 1, done, _NB))  # completed at exactly k
+    values[overflow] = ell + 1
+    entries.append((overflow, overflow, _ONE))
+    return _reference_spec("exact_run", ell, size, k, (1, 2), values, entries)
+
+
+def reference_build_longest_run_chain(truncation: int) -> ImbeddingSpec:
+    """Imbedding for the longest state-2 run.
+
+    Block m means "longest run so far is m".  Block 0 is the single state
+    "never entered state 2"; block m >= 1 holds the in-progress run lengths
+    1..m followed by an in-state-1 state.  A run reaching length m+1 enters
+    block m+1 (or the overflow state beyond the truncation); shorter runs
+    move within their block.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    ell = truncation
+    bases = np.empty(ell + 1, dtype=np.int64)
+    bases[0] = 0
+    off = 1
+    for m in range(1, ell + 1):
+        bases[m] = off
+        off += m + 1
+    size = off + 1
+    overflow = size - 1
+    entries = [(0, 0, _A), (0, bases[1], _NA)]
+    values = np.empty(size, dtype=np.int64)
+    values[0] = 0
+    for m in range(1, ell + 1):
+        base = bases[m]
+        state1 = base + m
+        values[base : base + m + 1] = m
+        entries.append((state1, state1, _A))
+        entries.append((state1, base, _NA))  # new run of length 1
+        for r in range(1, m):
+            entries.append((base + r - 1, base + r, _B))
+            entries.append((base + r - 1, state1, _NB))
+        longer = bases[m + 1] + m if m < ell else overflow
+        entries.append((base + m - 1, longer, _B))  # record length m+1
+        entries.append((base + m - 1, state1, _NB))
+    values[overflow] = ell + 1
+    entries.append((overflow, overflow, _ONE))
+    return _reference_spec("longest_run", ell, size, None, (0, 1), values, entries)
 
 
 def _fmt(v) -> str:

@@ -183,7 +183,7 @@ def test_criterion_9_long_sequence_robustness(earthquake_model):
     chain = hp.build_posterior_chain(earthquake_model, tables)
     assert np.isfinite(chain.trans).all()
 
-    spec = hp.build_jump_chain(60, "jumps")
+    spec = hp.build_spec("jumps", 60)
     final = hp.propagate(spec, chain)
     assert np.isfinite(final).all()
     assert final.sum() == pytest.approx(1.0, abs=1e-9)

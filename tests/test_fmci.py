@@ -6,19 +6,32 @@ from oracles import (
     enumerate_posterior,
     oracle_distribution,
     random_instance,
+    reference_build_exact_run_chain,
+    reference_build_jump_chain,
+    reference_build_longest_run_chain,
+    reference_build_positions_chain,
     reference_propagate,
     statistic_value,
     total_variation,
 )
 
+
+def build_positions_chain(ell):
+    return hp.build_spec("positions", ell)
+
+
+def build_longest_run_chain(ell):
+    return hp.build_spec("longest_run", ell)
+
+
 ALL_BUILDERS = [
-    ("jumps", lambda ell: hp.build_jump_chain(ell, "jumps")),
-    ("runs", lambda ell: hp.build_jump_chain(ell, "runs")),
-    ("positions", hp.build_positions_chain),
-    ("longest_run", hp.build_longest_run_chain),
-    ("exact_run_1", lambda ell: hp.build_exact_run_chain(1, ell)),
-    ("exact_run_2", lambda ell: hp.build_exact_run_chain(2, ell)),
-    ("exact_run_3", lambda ell: hp.build_exact_run_chain(3, ell)),
+    ("jumps", lambda ell: hp.build_spec("jumps", ell)),
+    ("runs", lambda ell: hp.build_spec("runs", ell)),
+    ("positions", build_positions_chain),
+    ("longest_run", build_longest_run_chain),
+    ("exact_run_1", lambda ell: hp.build_spec("exact_run", ell, 1)),
+    ("exact_run_2", lambda ell: hp.build_spec("exact_run", ell, 2)),
+    ("exact_run_3", lambda ell: hp.build_spec("exact_run", ell, 3)),
 ]
 
 
@@ -41,11 +54,11 @@ def fmci_distribution(chain, statistic, ell, run_length=None):
 
 class TestSpecConstruction:
     def test_sizes(self):
-        assert hp.build_jump_chain(7).size == 2 * 7 + 3
-        assert hp.build_positions_chain(7).size == 2 * 7 + 2
-        assert hp.build_exact_run_chain(3, 7).size == (7 + 1) * (3 + 2) + 1
+        assert hp.build_spec("jumps", 7).size == 2 * 7 + 3
+        assert hp.build_spec("positions", 7).size == 2 * 7 + 3
+        assert hp.build_spec("exact_run", 7, 3).size == (7 + 1) * (3 + 2) + 1
         # blocks of sizes 1, 2, ..., ell+1 plus the absorbing overflow state
-        assert hp.build_longest_run_chain(7).size == (7 + 1) * (7 + 2) // 2 + 1
+        assert hp.build_spec("longest_run", 7).size == (7 + 1) * (7 + 2) // 2 + 1
 
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_rows_stochastic_on_grid(self, name, builder):
@@ -67,15 +80,49 @@ class TestSpecConstruction:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            hp.build_jump_chain(0)
+            hp.build_spec("jumps", 0)
         with pytest.raises(ValueError):
-            hp.build_jump_chain(3, mode="visits")
-        with pytest.raises(ValueError):
-            hp.build_exact_run_chain(0, 3)
+            hp.build_spec("exact_run", 3, 0)
         with pytest.raises(ValueError):
             hp.build_spec("visits", 3)
         with pytest.raises(ValueError):
             hp.build_spec("exact_run", 3)
+
+    def test_build_spec_matches_the_reference_builders(
+        self, lamb_chain, earthquake_model, earthquake_counts
+    ):
+        references = [
+            ("jumps", None, lambda ell: reference_build_jump_chain(ell, "jumps")),
+            ("runs", None, lambda ell: reference_build_jump_chain(ell, "runs")),
+            ("longest_run", None, reference_build_longest_run_chain),
+        ] + [
+            ("exact_run", k, lambda ell, k=k: reference_build_exact_run_chain(k, ell))
+            for k in (1, 2, 3, 7)
+        ]
+        for ell in (1, 2, 7, 60):
+            for statistic, run_length, reference in references:
+                mine, ref = hp.build_spec(statistic, ell, run_length), reference(ell)
+                for name in ("statistic", "truncation", "size", "run_length", "eta_slots"):
+                    assert getattr(mine, name) == getattr(ref, name)
+                for name in ("values", "rows", "cols", "kinds"):
+                    assert getattr(mine, name).dtype == getattr(ref, name).dtype
+                    assert np.array_equal(getattr(mine, name), getattr(ref, name))
+        # positions gains a state that never holds mass, so its arrays differ
+        # from the reference's; its distributions must not, bit for bit
+        quake = hp.build_posterior_chain(
+            earthquake_model, hp.forward_backward(earthquake_model, earthquake_counts)
+        )
+        chains = [lamb_chain, quake, hp.swap_states(quake)]
+        for init in ([0.3, 0.7], [1.0, 0.0], [0.0, 1.0]):
+            chains.append(manual_chain(init, [], []))
+            chains += [manual_chain(init, [s1], [s2]) for s1, s2 in ((0.25, 0.6), (0.0, 1.0))]
+        for chain in chains:
+            for ell in (chain.n, 3):
+                mine = fmci_distribution(chain, "positions", ell)
+                ref_spec = reference_build_positions_chain(ell)
+                ref = hp.aggregate(ref_spec, hp.propagate(ref_spec, chain))
+                assert np.array_equal(mine.probs, ref.probs)
+                assert mine.overflow == ref.overflow
 
 
 class TestClosedForms:
@@ -155,7 +202,7 @@ class TestOracleEquivalence:
 class TestPropagateAggregate:
     def test_length_one_returns_initial_vector(self):
         chain = hp.PosteriorChain(init=np.array([0.2, 0.8]), trans=np.empty((0, 2, 2)))
-        spec = hp.build_jump_chain(3, "runs")
+        spec = hp.build_spec("runs", 3)
         final = hp.propagate(spec, chain)
         assert final == pytest.approx(spec.initial_vector(0.2, 0.8))
 
@@ -170,10 +217,10 @@ class TestPropagateAggregate:
         _, x = hp.simulate(m, 6, seed=0)
         chain = hp.build_posterior_chain(m, hp.forward_backward(m, x))
         with pytest.raises(hp.TwoStateRequiredError):
-            hp.propagate(hp.build_jump_chain(3), chain)
+            hp.propagate(hp.build_spec("jumps", 3), chain)
 
     def test_aggregate_grouping_matches_block_layout(self):
-        spec = hp.build_jump_chain(2, "jumps")
+        spec = hp.build_spec("jumps", 2)
         final = np.zeros(spec.size)
         final[0], final[1] = 0.1, 0.2   # zero jumps, both current states
         final[2], final[3] = 0.3, 0.25  # one jump
@@ -184,16 +231,16 @@ class TestPropagateAggregate:
         assert dist.overflow == pytest.approx(0.15)
 
     def test_aggregate_positions_layout(self):
-        spec = hp.build_positions_chain(2)
+        spec = hp.build_spec("positions", 2)
         final = np.zeros(spec.size)
-        final[0] = 0.4          # zero positions
-        final[1], final[2] = 0.35, 0.25  # one position
+        final[1] = 0.4          # zero positions, in state 1
+        final[2], final[3] = 0.35, 0.25  # one position
         dist = hp.aggregate(spec, final)
         assert dist.probs[0] == pytest.approx(0.4)
         assert dist.probs[1] == pytest.approx(0.6)
 
     def test_aggregate_point_mass(self):
-        spec = hp.build_positions_chain(3)
+        spec = hp.build_spec("positions", 3)
         final = np.zeros(spec.size)
         final[0] = 1.0
         dist = hp.aggregate(spec, final)
@@ -201,7 +248,7 @@ class TestPropagateAggregate:
         assert dist.overflow == 0.0
 
     def test_aggregate_rejects_unnormalized(self):
-        spec = hp.build_positions_chain(2)
+        spec = hp.build_spec("positions", 2)
         with pytest.raises(ValueError):
             hp.aggregate(spec, np.full(spec.size, 0.5))
 

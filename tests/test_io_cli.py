@@ -98,7 +98,7 @@ class TestReadCounts:
 
 class TestCsvRoundTrip:
     def test_distribution_round_trips_to_12_digits(self, tmp_path, lamb_chain):
-        spec = hp.build_positions_chain(15)
+        spec = hp.build_spec("positions", 15)
         dist = hp.aggregate(spec, hp.propagate(spec, lamb_chain))
         path = tmp_path / "dist.csv"
         io.write_distribution_csv(path, dist)
@@ -263,6 +263,17 @@ class TestCliDecode:
         assert len(err) == 1 and err[0].startswith("error: parse-error: ")
         assert "huge.csv:2" in err[0]
 
+    @pytest.mark.parametrize("flag", ["--model", "--obs"])
+    def test_non_utf8_file_parse_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "latin.bin"
+        bad.write_bytes(b"\xff")
+        model, obs = (bad, "earthquakes") if flag == "--model" else ("earthquakes", bad)
+        rc = run_cli(["decode", "--model", model, "--obs", obs, "--out", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse-error: ")
+        assert "latin.bin" in err[0]
+
 
 class TestCliFmci:
     def test_positions_tail_from_published_analysis(self, tmp_path):
@@ -328,6 +339,32 @@ class TestCliFmci:
         mean2 = sum(int(v) * float(p) for v, p in p2 if not v.startswith(">="))
         mean1 = sum(int(v) * float(p) for v, p in p1 if not v.startswith(">="))
         assert mean1 + mean2 == pytest.approx(225, abs=1.0)
+
+    @pytest.mark.parametrize("args,named", [
+        (["--ell", "abc"], "--ell"),
+        (["--ell", "0"], "--ell"),
+        (["--statistic", "exact-run:108"], "n = 107"),
+        (["--statistic", "jumps", "--expected-runs", "108"], "n = 107"),
+    ])
+    def test_bad_arguments_fail_before_forward_backward(
+        self, tmp_path, capsys, monkeypatch, args, named
+    ):
+        def refuse(*_):
+            raise AssertionError("forward_backward ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "forward_backward", refuse)
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--out", tmp_path, *args])
+        assert rc == 7
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument-error: ")
+        assert named in err[0]
+
+    def test_run_length_equal_to_the_series_length_is_accepted(self, tmp_path):
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--out", tmp_path, "--statistic", "exact-run:107"])
+        assert rc == 0
+        assert (tmp_path / "fmci_exact_run_107.csv").exists()
 
 
 class TestCliSample:
