@@ -21,7 +21,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decoding import hybrid_paths, posterior_decode
-from .model import HmmModel, as_states, forward_backward, log_joint, posterior_marginals, simulate, validate_model
+from .model import (
+    HmmModel,
+    as_counts,
+    as_states,
+    forward_backward,
+    log_joint,
+    posterior_marginals,
+    simulate,
+    validate_model,
+)
 from .seeding import substream_seed
 
 __all__ = [
@@ -103,7 +112,12 @@ def sweep(model: HmmModel, x, y, alphas=None) -> ArtemisCurve:
     if alphas is None:
         alphas = default_alpha_grid()
     alphas = np.sort(np.atleast_1d(np.asarray(alphas, dtype=float)))
+    x = as_counts(x)
     y = as_states(y, model.num_states)
+    if y.size != x.size:
+        raise ValueError(
+            f"the true path has {y.size} states but there are {x.size} observations"
+        )
     tables = forward_backward(model, x)
     paths = hybrid_paths(model, tables, alphas)
     accuracy = (paths == y[None, :]).mean(axis=1)

@@ -35,7 +35,15 @@ from .chain import (
 )
 from .data import fixture_names, fixture_path
 from .decoding import ImpossibleSequenceError, hybrid_decode, posterior_decode, viterbi
-from .fmci import aggregate, auto_truncation, build_spec, expected_exact_run_counts, propagate
+from .fmci import (
+    _MAX_LONGEST_RUN_STATES,
+    _longest_run_size,
+    aggregate,
+    auto_truncation,
+    build_spec,
+    expected_exact_run_counts,
+    propagate,
+)
 from .model import (
     HmmModel,
     ImpossibleObservationError,
@@ -155,12 +163,22 @@ def cmd_fmci(args) -> int:
     chain = build_posterior_chain(model, tables)
     if args.target_state == 1:
         chain = swap_states(chain)
+    levels = [
+        auto_truncation(chain, statistic, run_length) if fixed_ell is None else fixed_ell
+        for statistic, run_length in parsed
+    ]
+    for (statistic, _), ell in zip(parsed, levels):
+        states = _longest_run_size(ell)
+        if statistic == "longest_run" and states > _MAX_LONGEST_RUN_STATES:
+            raise ValueError(
+                f"longest-run level {ell} needs {states} imbedded states, more than "
+                f"{_MAX_LONGEST_RUN_STATES}; pass a smaller --ell to get a truncated "
+                "distribution"
+            )
     io.write_stay_csv(out / "stay_probs.csv", stay_probabilities(chain))
 
-    for statistic, run_length in parsed:
-        ell = fixed_ell
-        if ell is None:
-            ell = auto_truncation(chain, statistic, run_length)
+    for (statistic, run_length), ell in zip(parsed, levels):
+        if fixed_ell is None:
             print(f"auto truncation for {statistic}: {ell}")
         spec = build_spec(statistic, ell, run_length)
         dist = aggregate(spec, propagate(spec, chain))
@@ -235,7 +253,12 @@ def cmd_artemis(args) -> int:
 def cmd_blockwise(args) -> int:
     model = _load_model(args)
     out = _outdir(args)
-    block_sizes = [int(b) for b in args.block_sizes.split(",")]
+    try:
+        block_sizes = [int(b) for b in args.block_sizes.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--block-sizes must be comma-separated integers, got {args.block_sizes!r}"
+        ) from None
     rows = blockwise_study(
         model, args.n, args.replicates, [args.alpha], block_sizes, args.seed
     )

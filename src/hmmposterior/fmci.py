@@ -64,6 +64,10 @@ _A, _NA, _B, _NB, _ONE = 0, 1, 2, 3, 4
 # largest overflow mass auto_truncation allows for longest_run
 OVERFLOW_TOL = 1e-12
 
+# most imbedded states the CLI builds for longest_run (see _longest_run_size);
+# a whole longest-run call near this size took 12 s and 360 MB on a 2-core host
+_MAX_LONGEST_RUN_STATES = 10**6
+
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
 # state 1", and a 1 -> 2 transition counts one more
 _JUMP_BLOCK = ((0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 0, _NA, 1))
@@ -153,6 +157,11 @@ def _exact_run_block(k: int) -> list[tuple[int, int, int, int]]:
     return block + [(k + 1, 0, _B, 0), (k + 1, 1, _NB, 1)]
 
 
+def _longest_run_size(ell: int) -> int:
+    # block 0 has one state, block m >= 1 has m + 1, then the overflow state
+    return (ell + 1) * (ell + 2) // 2 + 1
+
+
 def _longest_run_spec(ell: int) -> ImbeddingSpec:
     """Imbedding for the longest state-2 run.
 
@@ -162,13 +171,9 @@ def _longest_run_spec(ell: int) -> ImbeddingSpec:
     block m+1 (or the overflow state beyond the truncation); shorter runs
     move within their block.
     """
-    bases = np.empty(ell + 1, dtype=np.int64)
-    bases[0] = 0
-    off = 1
-    for m in range(1, ell + 1):
-        bases[m] = off
-        off += m + 1
-    size = off + 1
+    blocks = np.arange(ell + 1, dtype=np.int64)
+    bases = blocks * (blocks + 1) // 2
+    size = _longest_run_size(ell)
     overflow = size - 1
     entries = [(0, 0, _A), (0, bases[1], _NA)]
     values = np.empty(size, dtype=np.int64)
@@ -286,12 +291,6 @@ class Distribution:
     @property
     def truncation(self) -> int:
         return int(self.support[-1])
-
-    def tail_prob(self, v: int) -> float:
-        """P(statistic >= v) for v <= truncation + 1."""
-        if v > self.truncation + 1:
-            raise ValueError(f"tail cut {v} exceeds truncation+1 = {self.truncation + 1}")
-        return float(self.probs[max(v, 0) :].sum() + self.overflow)
 
     def mean_lower_bound(self) -> float:
         """Expected value with overflow mass counted at truncation + 1."""

@@ -11,11 +11,11 @@ exp/log round trips in inner loops.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "HmmModel",
@@ -92,10 +92,15 @@ class HmmModel:
         return self.pi.size
 
     def log_emissions(self, counts: np.ndarray) -> np.ndarray:
-        """n x K matrix of log Poisson pmf values; column j is state j+1."""
+        """n x K matrix of log Poisson pmf values; column j is state j+1.
+
+        log x! is computed once for each distinct count.
+        """
         x = as_counts(counts).astype(float)
+        values, inverse = np.unique(x, return_inverse=True)
+        log_factorial = np.array([math.lgamma(v + 1.0) for v in values.tolist()])[inverse]
         lam = self.rates
-        return x[:, None] * np.log(lam)[None, :] - lam[None, :] - gammaln(x + 1.0)[:, None]
+        return x[:, None] * np.log(lam)[None, :] - lam[None, :] - log_factorial[:, None]
 
 
 def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:

@@ -366,6 +366,23 @@ class TestCliFmci:
         assert rc == 0
         assert (tmp_path / "fmci_exact_run_107.csv").exists()
 
+    def test_longest_run_beyond_the_state_budget_is_refused(self, tmp_path, capsys, monkeypatch):
+        # 2000 counts of 30 keep the posterior in state 2, so the exact level
+        # is 1999 and the imbedding would hold 2000 * 2001 / 2 + 1 states
+        obs = write(tmp_path, "x.csv", "30\n" * 2000)
+
+        def refuse(*_):
+            raise AssertionError("the imbedding was built before its size was checked")
+
+        monkeypatch.setattr(cli, "build_spec", refuse)
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", obs, "--out", tmp_path,
+                      "--statistic", "longest-run"])
+        assert rc == 7
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument-error: ")
+        assert "level 1999" in err[0] and "2001001 imbedded states" in err[0]
+        assert "--ell" in err[0]
+
 
 class TestCliSample:
     def test_samples_and_frequencies(self, tmp_path):
@@ -442,6 +459,20 @@ class TestCliArtemisAndBlockwise:
         assert "degenerate-scaling" in capsys.readouterr().err
         assert (tmp_path / "artemis_curve.csv").exists()
 
+    def test_artemis_given_data_length_mismatch(self, tmp_path, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("forward_backward ran before the lengths were checked")
+
+        monkeypatch.setattr(hp.artemis, "forward_backward", refuse)
+        obs = write(tmp_path, "x50.csv", "3\n" * 50)
+        states = write(tmp_path, "y40.csv", "1\n" * 40)
+        rc = run_cli(["artemis", "--model", "earthquakes", "--obs", obs, "--states", states,
+                      "--out", tmp_path])
+        assert rc == 7
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument-error: ")
+        assert "40 states" in err[0] and "50 observations" in err[0]
+
     def test_artemis_determinism(self, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text(MODEL_TEXT)
@@ -481,6 +512,15 @@ class TestCliArtemisAndBlockwise:
         assert rc == 7
         assert "argument-error" in capsys.readouterr().err
 
+    def test_blockwise_bad_block_size_names_the_option(self, tmp_path, capsys):
+        rc = run_cli(["blockwise", "--model", "earthquakes", "--out", tmp_path,
+                      "--alpha", "0.4", "--n", "50", "--replicates", "1",
+                      "--block-sizes", "1,x"])
+        assert rc == 7
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument-error: ")
+        assert "--block-sizes" in err[0] and "'1,x'" in err[0]
+
 
 class TestCliSimulate:
     def test_writes_both_series(self, tmp_path):
@@ -514,10 +554,35 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command, 
     assert err.splitlines() == ["error: out-of-memory: Unable to allocate 149. TiB for an array"]
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from hmmposterior.cli import main
+
+out = sys.argv[1]
+eq = ["--model", "earthquakes"]
+calls = [
+    ["decode", *eq, "--obs", "earthquakes", "--alpha", "0.3"],
+    ["fmci", *eq, "--obs", "earthquakes", "--statistic", "jumps", "--statistic", "runs",
+     "--statistic", "positions", "--statistic", "longest-run", "--statistic", "exact-run:3",
+     "--expected-runs", "3"],
+    ["sample", "--model", "fetal-lamb", "--obs", "fetal-lamb", "--renormalize",
+     "--samples", "20"],
+    ["simulate", *eq, "--n", "100"],
+    ["artemis", *eq, "--n", "2000", "--replicates", "1", "--alpha-grid", "16"],
+    ["blockwise", *eq, "--alpha", "0.4", "--n", "500", "--replicates", "1",
+     "--block-sizes", "1,5"],
+]
+codes = [main([*args, "--out", f"{out}/{args[0]}"]) for args in calls]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.startswith("scipy") and module is not None)
+print(codes, loaded)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
     src = str(Path(hp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hmmposterior.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

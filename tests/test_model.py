@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 import hmmposterior as hp
@@ -86,6 +87,27 @@ class TestSimulate:
         m = two_state([1, 0], np.eye(2), [1, 5])
         with pytest.raises(ValueError):
             hp.simulate(m, 0, seed=1)
+
+
+class TestLogEmissions:
+    def test_matches_the_scipy_poisson_logpmf(self):
+        rates = np.array([0.278, 26.0, 1e6])
+        m = hp.HmmModel(pi=[1, 0, 0], gamma=np.eye(3), rates=rates)
+        boundary = [170, 171, 10**6, 2**53 + 1, np.iinfo(np.int64).max]
+        x = np.concatenate([np.arange(10**4 + 1), boundary]).astype(np.int64)
+        xf = x.astype(float)  # scipy's integer path gives -inf at the int64 maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mine = m.log_emissions(x)
+            reference = poisson.logpmf(xf[:, None], rates[None, :])
+        # each entry is a sum of three terms; allow a few ulps of the largest
+        scale = np.maximum.reduce([
+            np.abs(xf[:, None] * np.log(rates)[None, :]),
+            np.broadcast_to(rates, mine.shape),
+            np.broadcast_to(gammaln(xf + 1.0)[:, None], mine.shape),
+        ])
+        assert mine.shape == (x.size, 3)
+        assert (np.abs(mine - reference) <= 8 * np.finfo(float).eps * scale).all()
 
 
 class TestForwardBackward:
