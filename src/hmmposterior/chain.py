@@ -138,29 +138,63 @@ def swap_states(chain: PosteriorChain) -> PosteriorChain:
     )
 
 
+_SAMPLE_CHUNK = 256  # positions per chunk of uniforms and next-state tables
+_SAMPLE_PATHS = 4096  # paths walked together; bounds the live generators
+
+
+def _label_dtype(k: int) -> np.dtype:
+    """The smallest signed integer type that holds the labels 1..k."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if k <= np.iinfo(t).max)
+
+
 def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
     """Draw m hidden paths from the posterior chain.
 
-    Returns an (m, n) array of 1-based state labels.  Path i uses its own
+    Returns an (m, n) array of 1-based state labels in the smallest signed
+    integer type that holds K (int8 for K <= 127).  Path i uses its own
     generator seeded with ``substream_seed(seed, i)``, so path i is identical
     no matter how many paths are requested, and paths can be generated in
     parallel.
+
+    The paths are drawn a chunk of positions at a time, so the call needs
+    about m*n bytes for the result plus one chunk: float64 uniforms and a
+    next-state table for at most 4096 paths over 256 positions.
     """
     if m < 1:
         raise ValueError("number of paths must be at least 1")
     n, k = chain.n, chain.num_states
-    u = np.empty((m, n))
-    for i in range(m):
-        u[i] = np.random.default_rng(substream_seed(seed, i)).random(n)
-
+    paths = np.empty((m, n), dtype=_label_dtype(k))
     cum_init = np.cumsum(chain.init)
-    paths = np.empty((m, n), dtype=np.int64)
-    s = np.minimum(np.searchsorted(cum_init, u[:, 0], side="right"), k - 1)
-    paths[:, 0] = s
-    if n > 1:
-        cum_trans = np.cumsum(chain.trans, axis=2)
-        for t in range(1, n):
-            rows = cum_trans[t - 1][s]  # (m, K)
-            s = np.minimum((u[:, t][:, None] > rows).sum(axis=1), k - 1)
-            paths[:, t] = s
-    return paths + 1
+    for first in range(0, m, _SAMPLE_PATHS):
+        block = paths[first:first + _SAMPLE_PATHS]
+        width = block.shape[0]
+        gens = [np.random.default_rng(substream_seed(seed, first + i)) for i in range(width)]
+        u = np.empty((min(_SAMPLE_CHUNK, n), width))
+        states = np.empty(u.shape, dtype=paths.dtype)  # 0-based, time-major
+        offset = np.arange(width)
+        for lo in range(0, n, _SAMPLE_CHUNK):
+            span = min(_SAMPLE_CHUNK, n - lo)
+            # consecutive draws continue each path's stream, so the chunks
+            # see the same uniforms as one draw of n per path
+            for i, g in enumerate(gens):
+                u[:span, i] = g.random(span)
+            start = 0
+            if lo == 0:
+                states[0] = np.minimum(np.searchsorted(cum_init, u[0], side="right"), k - 1)
+                index = states[0].astype(np.intp) * width + offset
+                start = 1
+            # nxt[t, i, p]: the state path p moves to from state i at lo + t.
+            # The cumulative rows never decrease, so the count of their first
+            # K-1 entries below u equals the count of all K capped at K-1.
+            rows = np.cumsum(chain.trans[lo + start - 1:lo + span - 1], axis=2)
+            nxt = np.zeros((span, k, width), dtype=paths.dtype)
+            for j in range(k - 1):
+                nxt[start:] += u[start:span, None, :] > rows[:, :, j, None]
+            nxt = nxt.reshape(span, k * width)
+            for t in range(start, span):
+                np.take(nxt[t], index, out=states[t])
+                # widened before the offset: state * width overflows int8
+                index = states[t].astype(np.intp) * width + offset
+            np.add(states[:span].T, 1, out=block[:, lo:lo + span])
+    return paths

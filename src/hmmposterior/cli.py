@@ -177,11 +177,14 @@ def cmd_fmci(args) -> int:
             )
     io.write_stay_csv(out / "stay_probs.csv", stay_probabilities(chain))
 
+    exact_runs = {}  # run length -> distribution, reused by --expected-runs
     for (statistic, run_length), ell in zip(parsed, levels):
         if fixed_ell is None:
             print(f"auto truncation for {statistic}: {ell}")
         spec = build_spec(statistic, ell, run_length)
         dist = aggregate(spec, propagate(spec, chain))
+        if statistic == "exact_run":
+            exact_runs[run_length] = dist
         suffix = statistic if run_length is None else f"{statistic}_{run_length}"
         io.write_distribution_csv(out / f"fmci_{suffix}.csv", dist)
         print(
@@ -189,7 +192,7 @@ def cmd_fmci(args) -> int:
             f"wrote {out / f'fmci_{suffix}.csv'}"
         )
     if args.expected_runs:
-        counts = expected_exact_run_counts(chain, args.expected_runs, fixed_ell)
+        counts = expected_exact_run_counts(chain, args.expected_runs, fixed_ell, exact_runs)
         io.write_run_counts_csv(out / "expected_run_counts.csv", counts)
         print(f"wrote {out / 'expected_run_counts.csv'}")
     return 0

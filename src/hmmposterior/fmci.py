@@ -331,21 +331,29 @@ class ExpectedRunCounts:
 
 
 def expected_exact_run_counts(
-    chain: PosteriorChain, k_max: int, truncation: int | None = None
+    chain: PosteriorChain,
+    k_max: int,
+    truncation: int | None = None,
+    computed: dict[int, Distribution] | None = None,
 ) -> ExpectedRunCounts:
     """Expected count of exact-length-k runs for k = 1..k_max.
 
     With truncation None each k is propagated at auto_truncation's exact
-    level, so every count is exact.
+    level, so every count is exact.  `computed` maps a run length k to the
+    exact_run distribution the caller already holds for this chain; one at
+    the level this call uses is taken in place of a second propagation.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    computed = computed or {}
     expected = np.empty(k_max)
     lower = np.zeros(k_max, dtype=bool)
     for k in range(1, k_max + 1):
         ell = auto_truncation(chain, "exact_run", k) if truncation is None else truncation
-        spec = build_spec("exact_run", ell, k)
-        dist = aggregate(spec, propagate(spec, chain))
+        dist = computed.get(k)
+        if dist is None or dist.truncation != ell:
+            spec = build_spec("exact_run", ell, k)
+            dist = aggregate(spec, propagate(spec, chain))
         expected[k - 1] = dist.mean_lower_bound()
         lower[k - 1] = dist.overflow > 1e-9
     return ExpectedRunCounts(

@@ -188,7 +188,7 @@ def write_distribution_csv(path, dist: Distribution) -> None:
 def write_samples_csv(path, paths) -> None:
     """One row per sampled path, streamed through a table of label strings."""
     paths = np.asarray(paths)
-    labels = np.array([str(k) for k in range(paths.max(initial=0) + 1)], dtype=object)
+    labels = np.array([str(k) for k in range(int(paths.max(initial=0)) + 1)], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"t_{t + 1}" for t in range(paths.shape[1])) + "\r\n")
         for row in paths:

@@ -212,12 +212,15 @@ def simulate(model: HmmModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray
     cum_pi = np.cumsum(model.pi)
     cum_gamma = np.cumsum(model.gamma, axis=1)
     u = rng.random(n)
-    states = np.empty(n, dtype=np.int64)
+    # nxt[i][t]: the state a step from state i moves to on the uniform u[t]
+    nxt = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
+           for row in cum_gamma]
     s = min(int(np.searchsorted(cum_pi, u[0], side="right")), k - 1)
-    states[0] = s
+    path = [s]
     for t in range(1, n):
-        s = min(int(np.searchsorted(cum_gamma[s], u[t], side="right")), k - 1)
-        states[t] = s
+        s = nxt[s][t]
+        path.append(s)
+    states = np.array(path, dtype=np.int64)
     counts = rng.poisson(model.rates[states])
     return states + 1, counts.astype(np.int64)
 

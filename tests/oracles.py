@@ -8,9 +8,10 @@ The exceptions are plain loops that pin a fast kernel bit for bit:
 which pins the batched kernel's tie-breaking; `reference_propagate`, the
 FMCI product over every entry of the step matrix, which pins the windowed
 propagation; the `reference_build_*` functions, one Python loop per FMCI
-imbedding, which pin the arrays of `build_spec`; and the
-`reference_write_*` functions, `csv.writer` loops that pin the bytes of
-every output file.
+imbedding, which pin the arrays of `build_spec`; `reference_simulate` and
+`reference_sample_posterior_paths`, one step per position, which pin the
+simulated and sampled paths; and the `reference_write_*` functions,
+`csv.writer` loops that pin the bytes of every output file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.stats import poisson
 
 import hmmposterior as hp
 from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE, ImbeddingSpec
+from hmmposterior.seeding import substream_seed
 
 
 def random_model(rng, num_states=2, rate_low=0.2, rate_high=8.0):
@@ -166,6 +168,43 @@ def reference_decode(log_pi, log_gamma, log_em, log_marg, alphas) -> np.ndarray:
             paths[r, t] = s
             s = back[t, s]
     return paths
+
+
+def reference_simulate(model, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states, counts) with one searchsorted per position."""
+    rng = np.random.default_rng(seed)
+    k = model.num_states
+    cum_pi = np.cumsum(model.pi)
+    cum_gamma = np.cumsum(model.gamma, axis=1)
+    u = rng.random(n)
+    states = np.empty(n, dtype=np.int64)
+    s = min(int(np.searchsorted(cum_pi, u[0], side="right")), k - 1)
+    states[0] = s
+    for t in range(1, n):
+        s = min(int(np.searchsorted(cum_gamma[s], u[t], side="right")), k - 1)
+        states[t] = s
+    counts = rng.poisson(model.rates[states])
+    return states + 1, counts.astype(np.int64)
+
+
+def reference_sample_posterior_paths(chain, m: int, seed: int) -> np.ndarray:
+    """(m, n) int64 paths, every path's n uniforms drawn first, one step per position."""
+    n, k = chain.n, chain.num_states
+    u = np.empty((m, n))
+    for i in range(m):
+        u[i] = np.random.default_rng(substream_seed(seed, i)).random(n)
+
+    cum_init = np.cumsum(chain.init)
+    paths = np.empty((m, n), dtype=np.int64)
+    s = np.minimum(np.searchsorted(cum_init, u[:, 0], side="right"), k - 1)
+    paths[:, 0] = s
+    if n > 1:
+        cum_trans = np.cumsum(chain.trans, axis=2)
+        for t in range(1, n):
+            rows = cum_trans[t - 1][s]  # (m, K)
+            s = np.minimum((u[:, t][:, None] > rows).sum(axis=1), k - 1)
+            paths[:, t] = s
+    return paths + 1
 
 
 def reference_propagate(spec, chain) -> np.ndarray:

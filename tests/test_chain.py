@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hmmposterior as hp
-from oracles import enumerate_posterior, oracle_marginals, random_instance
+from hmmposterior.chain import _SAMPLE_CHUNK, _SAMPLE_PATHS
+from oracles import (
+    enumerate_posterior,
+    oracle_marginals,
+    random_instance,
+    random_model,
+    reference_sample_posterior_paths,
+)
 
 
 def two_state(pi, gamma, rates):
@@ -185,6 +194,65 @@ class TestSamplePosteriorPaths:
         se = np.sqrt(marg2 * (1 - marg2) / 1000)
         ok = np.abs(freq2 - marg2) <= 3.5 * se + 1e-12
         assert ok.mean() >= 0.99
+
+    def test_matches_the_step_by_step_reference(self):
+        rng = np.random.default_rng(53)
+        for k in (2, 3, 4):
+            model = random_model(rng, k)
+            for n in (1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1):
+                _, x = hp.simulate(model, n, seed=int(rng.integers(1 << 31)))
+                ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
+                for m in (1, 127, 128, 300):
+                    seed = int(rng.integers(1 << 63))
+                    got = hp.sample_posterior_paths(ch, m, seed)
+                    assert got.dtype == np.int8
+                    assert np.array_equal(got, reference_sample_posterior_paths(ch, m, seed))
+
+    def test_matches_the_reference_on_uniform_and_zero_rows(self, lamb_model, lamb_counts):
+        t = hp.forward_backward(lamb_model, lamb_counts)
+        doctored = np.array(t.bwd_scaled)
+        doctored[4:9, 1] = 0.0  # state 2 unreachable at positions 5..9
+        ch = hp.build_posterior_chain(lamb_model, hp.FBTables(
+            fwd_scaled=t.fwd_scaled, bwd_scaled=doctored, loglik=t.loglik,
+            log_emissions=t.log_emissions, log_scale=t.log_scale))
+        assert ch.uniform_rows
+        # zero entries repeat a cumulative sum; a zero-probability state is never drawn
+        trans = np.random.default_rng(3).dirichlet(np.ones(4), size=(600, 4))
+        trans[trans < 0.2] = 0.0
+        trans /= trans.sum(axis=2, keepdims=True)
+        zero_rows = hp.PosteriorChain(init=np.array([0.5, 0.0, 0.25, 0.25]), trans=trans)
+        for chain in (ch, zero_rows):
+            got = hp.sample_posterior_paths(chain, 300, seed=12)
+            assert np.array_equal(got, reference_sample_posterior_paths(chain, 300, 12))
+
+    def test_matches_the_reference_across_path_blocks(self, lamb_chain):
+        m = _SAMPLE_PATHS + 1
+        short = hp.PosteriorChain(init=lamb_chain.init, trans=lamb_chain.trans[:9])
+        got = hp.sample_posterior_paths(short, m, seed=8)
+        assert np.array_equal(got, reference_sample_posterior_paths(short, m, 8))
+
+    def test_label_type_is_the_smallest_that_holds_k(self):
+        for k, dtype in ((127, np.int8), (128, np.int16)):
+            trans = np.full((3, k, k), 1.0 / k)
+            ch = hp.PosteriorChain(init=np.full(k, 1.0 / k), trans=trans)
+            got = hp.sample_posterior_paths(ch, 200, seed=k)
+            assert got.dtype == dtype
+            assert np.array_equal(got, reference_sample_posterior_paths(ch, 200, k))
+
+    def test_peak_memory_is_about_the_result(self):
+        model = hp.validate_model(hp.HmmModel(
+            pi=[0.8, 0.1, 0.1], gamma=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            rates=[15.0, 20.0, 25.0]))
+        _, x = hp.simulate(model, 5000, seed=4)
+        ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
+        m, n = 300, 5000
+        tracemalloc.start()
+        try:
+            hp.sample_posterior_paths(ch, m, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * n  # the int64 version held 24 * m * n
 
     def test_unbiased_path_frequencies(self):
         rng = np.random.default_rng(37)

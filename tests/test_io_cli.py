@@ -11,7 +11,7 @@ import pytest
 
 import hmmposterior as hp
 import oracles
-from hmmposterior import cli, io
+from hmmposterior import cli, fmci, io
 from hmmposterior.artemis import ArtemisCurve, BlockwiseRow, StudyReport
 from hmmposterior.cli import main
 from hmmposterior.data import fixture_path
@@ -178,6 +178,13 @@ def _writer_cases():
             paths[0, 0] = k
             cases.append((f"samples K={k} n={n}", (io.write_samples_csv, paths),
                           (oracles.reference_write_samples_csv, paths)))
+    for k in (2, 3, 127):
+        # every path starts in state K, so K is written (127 is the int8 maximum)
+        init = np.eye(k)[-1]
+        chain = hp.PosteriorChain(init=init, trans=np.full((39, k, k), 1.0 / k))
+        paths = hp.sample_posterior_paths(chain, 3, seed=k)
+        cases.append((f"sampled int8 K={k}", (io.write_samples_csv, paths),
+                      (oracles.reference_write_samples_csv, paths)))
     return cases
 
 
@@ -325,6 +332,26 @@ class TestCliFmci:
         assert rows[0] == ["k", "expected_count", "lower_bound_flag"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("ell", ["auto", "12"])
+    def test_expected_counts_reuse_the_exact_run_distribution(self, tmp_path, monkeypatch, ell):
+        calls = []
+
+        def counted(spec, chain, _propagate=fmci.propagate):
+            calls.append(spec.statistic)
+            return _propagate(spec, chain)
+
+        monkeypatch.setattr(fmci, "propagate", counted)
+        monkeypatch.setattr(cli, "propagate", counted)
+        for name, statistic in (("reused", "exact-run:3"), ("alone", "jumps")):
+            rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                          "--out", tmp_path / name, "--ell", ell, "--statistic", statistic,
+                          "--expected-runs", "5"])
+            assert rc == 0
+        # exact_run:3 is propagated once for its distribution and not again
+        assert calls == ["exact_run"] * 5 + ["jumps"] + ["exact_run"] * 5
+        assert (tmp_path / "reused" / "expected_run_counts.csv").read_bytes() == (
+            tmp_path / "alone" / "expected_run_counts.csv").read_bytes()
+
     def test_target_state_swap_changes_distribution(self, tmp_path):
         rc = run_cli(["fmci", "--model", "fetal-lamb", "--obs", "fetal-lamb",
                       "--out", tmp_path / "s2", "--renormalize",
@@ -403,6 +430,22 @@ class TestCliSample:
                       "--out", tmp_path, "--renormalize", "--samples", "0"])
         assert rc == 7
         assert "argument-error" in capsys.readouterr().err
+
+    def test_outputs_match_the_int64_sampler(self, tmp_path, earthquake_model,
+                                             earthquake_counts):
+        rc = run_cli(["sample", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--out", tmp_path, "--samples", "300", "--seed", "2026"])
+        assert rc == 0
+        tables = hp.forward_backward(earthquake_model, earthquake_counts)
+        chain = hp.build_posterior_chain(earthquake_model, tables)
+        paths = oracles.reference_sample_posterior_paths(chain, 300, 2026)
+        frequencies = np.stack([(paths == j + 1).mean(axis=0) for j in range(2)], axis=1)
+        oracles.reference_write_samples_csv(tmp_path / "want_samples.csv", paths)
+        oracles.reference_write_frequency_csv(tmp_path / "want_frequencies.csv", frequencies,
+                                              hp.posterior_marginals(tables))
+        for name in ("samples", "frequencies"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == (
+                tmp_path / f"want_{name}.csv").read_bytes()
 
     def test_reproducible_across_runs(self, tmp_path):
         for sub in ("a", "b"):

@@ -6,7 +6,13 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 import hmmposterior as hp
-from oracles import enumerate_posterior, oracle_marginals, random_instance, random_model
+from oracles import (
+    enumerate_posterior,
+    oracle_marginals,
+    random_instance,
+    random_model,
+    reference_simulate,
+)
 
 
 def two_state(pi, gamma, rates):
@@ -87,6 +93,20 @@ class TestSimulate:
         m = two_state([1, 0], np.eye(2), [1, 5])
         with pytest.raises(ValueError):
             hp.simulate(m, 0, seed=1)
+
+    def test_matches_the_step_by_step_reference(self):
+        rng = np.random.default_rng(41)
+        # zero entries repeat a cumulative sum; a zero-probability state is never drawn
+        zeros = hp.validate_model(hp.HmmModel(
+            pi=[0.5, 0.0, 0.5], gamma=[[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.25, 0.0, 0.75]],
+            rates=[1.0, 4.0, 9.0]))
+        models = [random_model(rng, k) for k in (1, 2, 3, 4)] + [zeros]
+        for model in models:
+            for n in (1, 2, 777):
+                seed = int(rng.integers(1 << 63))
+                got, want = hp.simulate(model, n, seed), reference_simulate(model, n, seed)
+                assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestLogEmissions:
