@@ -215,8 +215,18 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _check_study_size(args) -> None:
+    # before the small-n warning and before --out is made
+    if args.n < 1:
+        raise ValueError("sequence length must be at least 1")
+    if args.replicates < 1:
+        raise ValueError("need at least one replicate")
+
+
 def cmd_artemis(args) -> int:
     model = _load_model(args)
+    if not args.obs:
+        _check_study_size(args)
     out = _outdir(args)
     alphas = default_alpha_grid(args.alpha_grid)
     if args.obs:
@@ -255,6 +265,7 @@ def cmd_artemis(args) -> int:
 
 def cmd_blockwise(args) -> int:
     model = _load_model(args)
+    _check_study_size(args)
     out = _outdir(args)
     try:
         block_sizes = [int(b) for b in args.block_sizes.split(",")]

@@ -170,29 +170,32 @@ def _longest_run_spec(ell: int) -> ImbeddingSpec:
     1..m followed by an in-state-1 state.  A run reaching length m+1 enters
     block m+1 (or the overflow state beyond the truncation); shorter runs
     move within their block.
+
+    Block m's entries come in m + 1 pairs, one per state of the block: pair
+    0 leaves the in-state-1 state (stay, or open a run of length 1), and
+    pair r >= 1 leaves the run of length r (grow, or end it).  So the pairs
+    of all blocks are indexed by the states 1..size-2 themselves, between
+    block 0's pair and the overflow's self-loop.
     """
     blocks = np.arange(ell + 1, dtype=np.int64)
-    bases = blocks * (blocks + 1) // 2
     size = _longest_run_size(ell)
     overflow = size - 1
-    entries = [(0, 0, _A), (0, bases[1], _NA)]
-    values = np.empty(size, dtype=np.int64)
-    values[0] = 0
-    for m in range(1, ell + 1):
-        base = bases[m]
-        state1 = base + m
-        values[base : base + m + 1] = m
-        entries.append((state1, state1, _A))
-        entries.append((state1, base, _NA))  # new run of length 1
-        for r in range(1, m):
-            entries.append((base + r - 1, base + r, _B))
-            entries.append((base + r - 1, state1, _NB))
-        longer = bases[m + 1] + m if m < ell else overflow
-        entries.append((base + m - 1, longer, _B))  # record length m+1
-        entries.append((base + m - 1, state1, _NB))
-    values[overflow] = ell + 1
-    entries.append((overflow, overflow, _ONE))
-    rows, cols, kinds = np.array(entries, dtype=np.int64).T
+    values = np.append(np.repeat(blocks, blocks + 1), ell + 1)
+    m = values[1:overflow]
+    base = m * (m + 1) // 2
+    r = np.arange(1, overflow, dtype=np.int64) - base  # 0 for the in-state-1 pair
+    state1 = base + m
+    opens = r == 0
+    longer = np.where(m < ell, (m + 1) * (m + 2) // 2 + m, overflow)
+    grow = np.where(r == m, longer, base + r)  # a run of length m + 1 sets a record
+    leave = np.where(opens, state1, base + r - 1)  # in state 1, or a run of length r
+
+    def pairs(head, first, second, tail):
+        return np.concatenate((head, np.stack([first, second], axis=1).ravel(), [tail]))
+
+    rows = pairs([0, 0], leave, leave, overflow)
+    cols = pairs([0, 1], np.where(opens, state1, grow), np.where(opens, base, state1), overflow)
+    kinds = pairs([_A, _NA], np.where(opens, _A, _B), np.where(opens, _NA, _NB), _ONE)
     return _freeze_spec("longest_run", ell, None, (0, 1), values, rows, cols, kinds)
 
 

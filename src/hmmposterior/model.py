@@ -1,4 +1,4 @@
-"""Poisson hidden Markov model and the scaled forward-backward recursions.
+"""Poisson hidden Markov model and the scaled forward-backward tables.
 
 A model is the triple (initial distribution, transition matrix, per-state
 Poisson rates).  Hidden states are labelled 1..K in every public interface;
@@ -7,6 +7,28 @@ the package are derived from the :class:`FBTables` produced here, which hold
 the per-step normalized forward and backward tables together with the
 normalizing constants, so that posterior ratios can be formed without any
 exp/log round trips in inner loops.
+
+:func:`forward_backward` computes the tables by a blocked scan (Hassan,
+Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in hidden
+Markov models", IEEE TSP 2021) rather than one Python step per position.
+Positions 2..n are cut into blocks of L = ceil(sqrt(n - 1)) positions, and
+three passes cover them:
+
+1. every block's K x K transfer matrix, in L batched steps, with each row
+   rescaled at every step and its log scale kept, so nothing underflows;
+2. the forward vector at the start of each block, from the previous block's
+   start and transfer, in one small log-space step per block;
+3. all blocks again from those starts, in L batched steps of the scaled
+   recursion itself, which write the forward table and its normalizers.
+
+The backward table repeats passes 2 and 3 from the end of the sequence with
+the same transfers and the forward normalizers.  L depends on n alone.
+Inside a block each table row is the sequential recursion's own step; only
+the start vectors come from the stitch.  Against one step per position the
+marginals and the log normalizers agree within 1e-12 absolute and the
+log-likelihood within 1e-12 relative; most of the difference is the
+sequential loop's own rounding drift in the backward scale, which the
+stitch accumulates over sqrt(n) steps rather than n.
 """
 
 from __future__ import annotations
@@ -255,13 +277,61 @@ class FBTables:
         return self.fwd_scaled.shape[1]
 
 
+def _rescale(v: np.ndarray) -> np.ndarray:
+    """Divide each row of v (its last axis) by its sum in place; return log sums.
+
+    A zero row stays zero and gets log sum -inf, without a warning.
+    """
+    s = v.sum(axis=-1)
+    live = s > 0.0
+    v /= np.where(live, s, 1.0)[..., None]
+    return np.log(s, out=np.full_like(s, -np.inf), where=live)
+
+
+def _transfers(gamma: np.ndarray, em_blocks: np.ndarray, last: int):
+    """Every block's product of step matrices gamma * diag(em_t), row-scaled.
+
+    Returns (P, top, scale): the rows of P[b] sum to one (or are zero), each
+    rescaled at every step; top[j, b] is the largest log row scale of step
+    j of block b (0 where every row is zero), and scale[b, i] sums row i's
+    log scales less top over the steps, so the product is
+    diag(exp(scale[b] + top[:, b].sum())) @ P[b].  Only the first `last`
+    steps of the last block are positions; its padding steps are skipped
+    and add 0.
+    """
+    nblocks, length, k = em_blocks.shape
+    P = np.tile(np.eye(k), (nblocks, 1, 1))
+    top = np.zeros((length, nblocks))
+    scale = np.zeros((nblocks, k))
+    for j in range(length):
+        live = nblocks - (j >= last)
+        step = (P[:live].reshape(-1, k) @ gamma).reshape(live, k, k)
+        step *= em_blocks[:live, j, None, :]
+        log_r = _rescale(step)
+        peak = log_r.max(axis=1)
+        top[j, :live] = np.where(peak == -np.inf, 0.0, peak)
+        scale[:live] += log_r - top[j, :live, None]
+        P[:live] = step
+    return P, top, scale
+
+
 def forward_backward(model: HmmModel, x) -> FBTables:
-    """Run the scaled forward-backward recursions for counts x.
+    """Scaled forward and backward tables for counts x, by a blocked scan.
 
     Emission probabilities are max-shifted per position before
-    exponentiation, so the recursion never over- or underflows as long as
-    the per-step likelihood is representable; the log normalizers absorb
-    the shift exactly.
+    exponentiation, so the tables never over- or underflow as long as the
+    per-step likelihood is representable; the log normalizers absorb the
+    shift exactly.
+
+    The recursions are those of one step per position,
+    f_t = (f_{t-1} gamma) * em_t / c_t and b_{t-1} = gamma (em_t * b_t) / c_t,
+    run block by block as the module docstring describes: positions 2..n in
+    blocks of L = ceil(sqrt(n - 1)), three batched passes of L steps (the
+    transfers, the forward table, the backward table) and two stitches of
+    one small step per block.  The results agree with the sequential
+    recursion within 1e-12 (absolute for the marginals and log_scale,
+    relative for loglik), and an impossible count is reported at the same
+    position with the same message.
     """
     x = as_counts(x)
     n = x.size
@@ -273,39 +343,83 @@ def forward_backward(model: HmmModel, x) -> FBTables:
         raise ImpossibleObservationError(
             f"count {x[t]} at position {t + 1} has zero emission probability in every state"
         )
-    em = np.exp(log_em - shift[:, None])  # entries in (0, 1]
-
-    fwd = np.empty((n, k))
-    bwd = np.empty((n, k))
-    log_scale = np.empty(n)
     gamma = model.gamma
+    length = math.isqrt(n - 2) + 1 if n > 1 else 1  # ceil(sqrt(n - 1))
+    nblocks = -(-(n - 1) // length)
+    last = n - 1 - (nblocks - 1) * length  # positions in the last block
+    # position 1 + b * length + j (0-based) is step j of block b; the rows
+    # past n pad the last block and are never read
+    padded = 1 + nblocks * length
+    em = np.ones((padded, k))
+    np.exp(np.subtract(log_em, shift[:, None], out=em[:n]), out=em[:n])  # in [0, 1]
+    em_blocks = em[1:].reshape(nblocks, length, k)
 
-    f = model.pi * em[0]
-    c = f.sum()
-    if c <= 0.0:
+    # the arrays the result keeps are made before the scratch arrays, so
+    # that freeing those on return leaves no holes below them in the heap
+    fwd = np.empty((padded, k))
+    bwd = np.empty((padded, k))
+    log_scale = np.empty(n)
+    log_c = np.zeros(padded)
+    fwd[0] = model.pi * em[0]
+    log_c[0] = _rescale(fwd[0])
+    if log_c[0] == -np.inf:
         raise ImpossibleObservationError(
             f"no state the initial distribution allows can emit count {x[0]} at position 1"
         )
-    fwd[0] = f / c
-    log_scale[0] = np.log(c) + shift[0]
-    for t in range(1, n):
-        f = (fwd[t - 1] @ gamma) * em[t]
-        c = f.sum()
-        if c <= 0.0:
-            raise ImpossibleObservationError(
-                f"count {x[t]} at position {t + 1} has zero emission probability "
-                "under every reachable state"
-            )
-        fwd[t] = f / c
-        log_scale[t] = np.log(c) + shift[t]
+    P, top, scale = _transfers(gamma, em_blocks, last)  # pass 1
 
-    # backward pass against the same shifted emissions: the shift cancels in
-    # the division by the shifted normalizer
+    # pass 2, forward: the start of block b is the start of block b - 1 times
+    # its transfer, normalized, which cancels top
+    starts = np.empty((nblocks, k))
+    starts[:1] = fwd[0]
+    with np.errstate(divide="ignore"):
+        for b in range(1, nblocks):
+            w = np.log(starts[b - 1]) + scale[b - 1]
+            peak = w.max()
+            # -inf: block b - 1 is impossible, and pass 3 reports where
+            starts[b] = 0.0 if peak == -np.inf else np.exp(w - peak) @ P[b - 1]
+            _rescale(starts[b])
+
+    # pass 3, forward: every block from its start, one position at a time
+    fwd_blocks = fwd[1:].reshape(nblocks, length, k)
+    log_c_blocks = log_c[1:].reshape(nblocks, length)
+    for j in range(length):
+        live = nblocks - (j >= last)
+        prev = starts if j == 0 else fwd_blocks[:, j - 1]
+        f = (prev[:live] @ gamma) * em_blocks[:live, j]
+        log_c_blocks[:live, j] = _rescale(f)
+        fwd_blocks[:live, j] = f
+    impossible = log_c[:n] == -np.inf
+    if impossible.any():
+        t = int(np.argmax(impossible))
+        raise ImpossibleObservationError(
+            f"count {x[t]} at position {t + 1} has zero emission probability "
+            "under every reachable state"
+        )
+    np.add(log_c[:n], shift, out=log_scale)
+
+    # pass 2, backward: the end of block b - 1 is block b's transfer times
+    # the end of block b, divided by block b's forward normalizers; top and
+    # the normalizers enter step by step, as their ratio
+    scale += (top - log_c_blocks.T).sum(axis=0)[:, None]
+    ends = np.empty((nblocks, k))
+    ends[-1:] = 1.0
+    with np.errstate(divide="ignore"):
+        for b in range(nblocks - 1, 0, -1):
+            ends[b - 1] = np.exp(scale[b] + np.log(P[b] @ ends[b]))
+
+    # pass 3, backward: the normalizers c_t of the shifted emissions, in
+    # place of their logs (1 on the padding)
+    c_next_blocks = np.exp(log_c_blocks, out=log_c_blocks)[:, :, None]
     bwd[n - 1] = 1.0
-    for t in range(n - 2, -1, -1):
-        c_next = np.exp(log_scale[t + 1] - shift[t + 1])
-        bwd[t] = (gamma @ (em[t + 1] * bwd[t + 1])) / c_next
+    bwd_blocks = bwd[: nblocks * length].reshape(nblocks, length, k)
+    for j in range(length - 1, -1, -1):
+        live = nblocks - (j >= last)
+        nxt = ends if j == length - 1 else bwd_blocks[:, j + 1]
+        v = (em_blocks[:live, j] * nxt[:live]) @ gamma.T
+        bwd_blocks[:live, j] = v / c_next_blocks[:live, j]
 
+    fwd, bwd = fwd[:n], bwd[:n]
     for a in (fwd, bwd, log_scale, log_em):
         a.flags.writeable = False
     return FBTables(

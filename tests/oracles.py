@@ -3,7 +3,9 @@
 Everything here is computed by exhaustive enumeration of the K^n state paths
 with emission probabilities from scipy.stats, independently of the package's
 scaled recursions, so the tests compare two genuinely distinct computations.
-The exceptions are plain loops that pin a fast kernel bit for bit:
+The exceptions are plain loops that pin a fast kernel:
+`reference_forward_backward`, the scaled recursions one position at a time,
+which pins the blocked scan to within 1e-12; and, bit for bit,
 `reference_decode`, the decoding recursion one alpha and one step at a time,
 which pins the batched kernel's tie-breaking; `reference_propagate`, the
 FMCI product over every entry of the step matrix, which pins the windowed
@@ -24,6 +26,7 @@ from scipy.stats import poisson
 
 import hmmposterior as hp
 from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE, ImbeddingSpec
+from hmmposterior.model import as_counts
 from hmmposterior.seeding import substream_seed
 
 
@@ -168,6 +171,68 @@ def reference_decode(log_pi, log_gamma, log_em, log_marg, alphas) -> np.ndarray:
             paths[r, t] = s
             s = back[t, s]
     return paths
+
+
+def reference_forward_backward(model, x) -> hp.FBTables:
+    """The scaled forward-backward recursions, one step per position.
+
+    Emission probabilities are max-shifted per position before
+    exponentiation, so the recursion never over- or underflows as long as
+    the per-step likelihood is representable; the log normalizers absorb
+    the shift exactly.
+    """
+    x = as_counts(x)
+    n = x.size
+    k = model.num_states
+    log_em = model.log_emissions(x)
+    shift = log_em.max(axis=1)
+    if not np.isfinite(shift).all():
+        t = int(np.argmax(~np.isfinite(shift)))
+        raise hp.ImpossibleObservationError(
+            f"count {x[t]} at position {t + 1} has zero emission probability in every state"
+        )
+    em = np.exp(log_em - shift[:, None])  # entries in (0, 1]
+
+    fwd = np.empty((n, k))
+    bwd = np.empty((n, k))
+    log_scale = np.empty(n)
+    gamma = model.gamma
+
+    f = model.pi * em[0]
+    c = f.sum()
+    if c <= 0.0:
+        raise hp.ImpossibleObservationError(
+            f"no state the initial distribution allows can emit count {x[0]} at position 1"
+        )
+    fwd[0] = f / c
+    log_scale[0] = np.log(c) + shift[0]
+    for t in range(1, n):
+        f = (fwd[t - 1] @ gamma) * em[t]
+        c = f.sum()
+        if c <= 0.0:
+            raise hp.ImpossibleObservationError(
+                f"count {x[t]} at position {t + 1} has zero emission probability "
+                "under every reachable state"
+            )
+        fwd[t] = f / c
+        log_scale[t] = np.log(c) + shift[t]
+
+    # backward pass against the same shifted emissions: the shift cancels in
+    # the division by the shifted normalizer
+    bwd[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        c_next = np.exp(log_scale[t + 1] - shift[t + 1])
+        bwd[t] = (gamma @ (em[t + 1] * bwd[t + 1])) / c_next
+
+    for a in (fwd, bwd, log_scale, log_em):
+        a.flags.writeable = False
+    return hp.FBTables(
+        fwd_scaled=fwd,
+        bwd_scaled=bwd,
+        loglik=float(log_scale.sum()),
+        log_emissions=log_em,
+        log_scale=log_scale,
+    )
 
 
 def reference_simulate(model, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

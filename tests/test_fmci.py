@@ -99,7 +99,7 @@ class TestSpecConstruction:
             ("exact_run", k, lambda ell, k=k: reference_build_exact_run_chain(k, ell))
             for k in (1, 2, 3, 7)
         ]
-        for ell in (1, 2, 7, 60):
+        for ell in (1, 2, 7, 37, 60, 300):
             for statistic, run_length, reference in references:
                 mine, ref = hp.build_spec(statistic, ell, run_length), reference(ell)
                 for name in ("statistic", "truncation", "size", "run_length", "eta_slots"):

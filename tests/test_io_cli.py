@@ -537,6 +537,21 @@ class TestCliArtemisAndBlockwise:
         assert "nan" not in captured.out
         assert (tmp_path / "artemis_study.csv").exists()
 
+    @pytest.mark.parametrize("command", [["artemis"], ["blockwise", "--alpha", "0.4"]])
+    @pytest.mark.parametrize("option,message", [
+        ("--n", "sequence length must be at least 1"),
+        ("--replicates", "need at least one replicate"),
+    ])
+    def test_nonpositive_size_is_one_error_line(self, tmp_path, capsys, command, option, message):
+        # checked before the small-n warning and before --out is made
+        out = tmp_path / "out"
+        rc = run_cli([*command, "--model", "earthquakes", "--out", out, option, "0"])
+        assert rc == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: argument-error: {message}"]
+        assert not out.exists()
+
     def test_blockwise_outputs(self, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text(MODEL_TEXT)

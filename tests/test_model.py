@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     oracle_marginals,
     random_instance,
     random_model,
+    reference_forward_backward,
     reference_simulate,
 )
 
@@ -203,6 +205,96 @@ class TestForwardBackward:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="observation counts must be integers"):
                     hp.forward_backward(earthquake_model, bad)
+
+
+def assert_matches_the_sequential_recursion(model, x):
+    got, ref = hp.forward_backward(model, x), reference_forward_backward(model, x)
+    assert got.fwd_scaled.shape == got.bwd_scaled.shape == ref.fwd_scaled.shape
+    assert np.array_equal(got.log_emissions, ref.log_emissions)
+    assert np.abs(got.fwd_scaled - ref.fwd_scaled).max() <= 1e-12
+    marginals = hp.posterior_marginals(got) - hp.posterior_marginals(ref)
+    assert np.abs(marginals).max() <= 1e-12
+    assert np.abs(got.log_scale - ref.log_scale).max() <= 1e-12
+    assert got.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0.0)
+
+
+class TestBlockedScan:
+    """The blocked forward-backward scan against one step per position."""
+
+    def test_block_boundaries(self):
+        # positions 2..n form blocks of L = ceil(sqrt(n - 1)) positions; around
+        # n - 1 = L^2 the last block is short or full, and L itself steps up
+        rng = np.random.default_rng(61)
+        lengths = [1, 2, 3] + [size * size + d for size in (2, 3, 7, 16) for d in (-1, 0, 1, 2)]
+        for k in (2, 3, 4):
+            model = random_model(rng, k)
+            for n in lengths:
+                _, x = hp.simulate(model, n, seed=int(rng.integers(1 << 31)))
+                assert_matches_the_sequential_recursion(model, x)
+
+    def test_structural_zeros(self):
+        # state 2 absorbs and cannot emit a positive count, so the transfer
+        # rows that start in it vanish in every block before the jump
+        absorbing = two_state([1.0, 0.0], [[0.99, 0.01], [0.0, 1.0]], [5.0, 1e-300])
+        three = hp.validate_model(hp.HmmModel(
+            pi=[0.5, 0.5, 0.0], gamma=[[0.9, 0.1, 0.0], [0.0, 0.8, 0.2], [0.3, 0.0, 0.7]],
+            rates=[1.0, 6.0, 15.0]))
+        for model in (absorbing, three):
+            for n, seed in ((400, 1), (2000, 2), (2000, 3)):
+                _, x = hp.simulate(model, n, seed=seed)
+                assert_matches_the_sequential_recursion(model, x)
+
+    def test_emissions_that_underflow_for_hundreds_of_positions(self):
+        # a count of 0 under rate 800, or of 800 under rate 1, is exp(-800)
+        # against the other state and underflows to an exact zero
+        ergodic = two_state([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [1.0, 800.0])
+        absorbing = two_state([1.0, 0.0], [[0.99, 0.01], [0.0, 1.0]], [1.0, 800.0])
+        x = np.concatenate([np.zeros(300, int), np.full(300, 800), [3], np.full(299, 790)])
+        assert_matches_the_sequential_recursion(ergodic, x)
+        assert_matches_the_sequential_recursion(ergodic, x[::-1])
+        # once in state 2 the absorbing chain stays there, so the counts do too
+        assert_matches_the_sequential_recursion(absorbing, np.concatenate([x[:600], x[601:]]))
+
+    def test_bundled_fixtures(self, lamb_model, lamb_counts, earthquake_model, earthquake_counts):
+        assert_matches_the_sequential_recursion(lamb_model, lamb_counts)
+        assert_matches_the_sequential_recursion(earthquake_model, earthquake_counts)
+
+    def test_long_three_state_series(self):
+        model = hp.validate_model(hp.HmmModel(
+            pi=[0.8, 0.1, 0.1], gamma=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            rates=[15.0, 20.0, 25.0]))
+        _, x = hp.simulate(model, 100_000, seed=9)
+        assert_matches_the_sequential_recursion(model, x)
+
+    @pytest.mark.parametrize("n,positions", [
+        # n = 101: ten blocks of ten, the first holding positions 2..11
+        (101, (1, 2, 11, 12, 15, 21, 50, 92, 100, 101)),
+        # n = 95: nine blocks of ten, then 92..95
+        (95, (1, 2, 11, 12, 91, 92, 93, 95)),
+    ])
+    def test_impossible_observation_is_named_as_by_the_recursion(self, n, positions):
+        # pi and gamma keep the chain in state 1, which cannot emit a 5
+        stay = two_state([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1e-300, 5.0])
+        # either state may be kept, but state 1 cannot emit an 800 and state 2
+        # cannot emit a 0, so the positions around the 800 are impossible and
+        # every transfer row of their block vanishes
+        split = two_state([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [1.0, 800.0])
+        for model, count in ((stay, 5), (split, 800)):
+            for position in positions:
+                for later in (None, n):
+                    x = np.zeros(n, dtype=np.int64)
+                    if later is not None and later > position:
+                        x[later - 1] = count
+                    x[position - 1] = count
+                    with pytest.raises(hp.ImpossibleObservationError) as ref:
+                        reference_forward_backward(model, x)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(hp.ImpossibleObservationError) as got:
+                            hp.forward_backward(model, x)
+                    assert str(got.value) == str(ref.value)
+                    if model is stay:
+                        assert re.search(rf"position {position}\b", str(got.value))
 
 
 class TestPosteriorMarginals:
