@@ -34,7 +34,13 @@ from .chain import (
     swap_states,
 )
 from .data import fixture_names, fixture_path
-from .decoding import ImpossibleSequenceError, hybrid_decode, posterior_decode, viterbi
+from .decoding import (
+    ImpossibleSequenceError,
+    _check_alphas,
+    hybrid_decode,
+    posterior_decode,
+    viterbi,
+)
 from .fmci import (
     _MAX_LONGEST_RUN_STATES,
     _longest_run_size,
@@ -119,6 +125,7 @@ def _parse_ell(text: str) -> int | None:
 
 
 def cmd_decode(args) -> int:
+    _check_alphas(args.alpha)  # before any input is read and --out is made
     model = _load_model(args)
     x = _load_counts(args)
     out = _outdir(args)
@@ -264,6 +271,7 @@ def cmd_artemis(args) -> int:
 
 
 def cmd_blockwise(args) -> int:
+    _check_alphas(args.alpha)  # before any input is read and --out is made
     model = _load_model(args)
     _check_study_size(args)
     out = _outdir(args)

@@ -82,9 +82,11 @@ def _decode_paths(
 ) -> np.ndarray:
     """Run the decoding recursion for a batch of alpha values at once.
 
-    Returns (len(alphas), n) 0-based paths.  The score rows are shifted by
-    their running maximum each step; the shift cancels in every comparison
-    and keeps the table well-scaled for arbitrarily long sequences.
+    Returns (len(alphas), n) 0-based paths as int8, one byte per position
+    and alpha; int8 holds every label of the at most 127 states the kernel
+    accepts.  The score rows are shifted by their running maximum each
+    step; the shift cancels in every comparison and keeps the table
+    well-scaled for arbitrarily long sequences.
 
     Every array is state-major with alpha last: scores (K, A), weighted
     transitions (K_src, K_dst, A), local terms (chunk, K, A) and
@@ -161,7 +163,7 @@ def _decode_paths(
         if np.isnan(delta).any():
             raise ImpossibleSequenceError("every state path has probability zero")
 
-    paths = np.empty((num_alpha, n), dtype=np.int64)
+    paths = np.empty((num_alpha, n), dtype=np.int8)
     cols = np.arange(num_alpha)
     s = np.argmax(delta, axis=0)
     paths[:, n - 1] = s
@@ -171,13 +173,24 @@ def _decode_paths(
     return paths
 
 
+def _check_alphas(alphas) -> np.ndarray:
+    """alphas as a 1-d float array; ValueError unless each lies in [0, 1]."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
+        raise ValueError("alpha values must lie in [0, 1]")
+    return alphas
+
+
 def _log_model_terms(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         return np.log(model.pi), np.log(model.gamma)
 
 
 def viterbi(model: HmmModel, x) -> np.ndarray:
-    """The 1-based path maximizing P(y, x), computed in log space."""
+    """The 1-based path maximizing P(y, x), computed in log space.
+
+    Labels are int8, like those of `hybrid_paths`.
+    """
     x = as_counts(x)
     log_em = model.log_emissions(x)
     log_pi, log_gamma = _log_model_terms(model)
@@ -188,12 +201,11 @@ def viterbi(model: HmmModel, x) -> np.ndarray:
 def hybrid_paths(model: HmmModel, tables: FBTables, alphas) -> np.ndarray:
     """Hybrid paths for a whole batch of alpha values, one kernel pass.
 
-    Returns (len(alphas), n) 1-based paths; tables are shared across the
-    batch, so a 257-point sweep costs one recursion, not 257.
+    Returns (len(alphas), n) 1-based int8 labels, n bytes per alpha; tables
+    are shared across the batch, so a 257-point sweep costs one recursion,
+    not 257.  int8 arithmetic wraps: widen a path before scaling it.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
-        raise ValueError("alpha values must lie in [0, 1]")
+    alphas = _check_alphas(alphas)
     log_pi, log_gamma = _log_model_terms(model)
     with np.errstate(divide="ignore"):
         log_marg = np.log(posterior_marginals(tables))

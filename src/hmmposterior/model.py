@@ -151,12 +151,18 @@ def as_counts(x) -> np.ndarray:
 
 
 def as_states(s, num_states: int) -> np.ndarray:
-    """Coerce a state sequence to a 1-d array of labels in 1..num_states."""
+    """Coerce a state sequence to a 1-d array of labels in 1..num_states.
+
+    Integer labels keep their dtype, so an int8 path is neither widened nor
+    copied; any other input is cast to int64 after the checks of
+    `as_counts`.
+    """
     arr = np.asarray(s)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("state sequence must be a non-empty 1-d array")
-    arr = _as_int64(arr, "state labels")
-    if (arr < 1).any() or (arr > num_states).any():
+    if arr.dtype.kind not in "iu":
+        arr = _as_int64(arr, "state labels")
+    if arr.min() < 1 or arr.max() > num_states:
         raise ValueError(f"state labels must lie in 1..{num_states}")
     return arr
 
@@ -443,7 +449,9 @@ def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None)
     """log P(y = s, x) for a 1-based state path s; -inf if any factor is zero.
 
     s may also be an (m, n) array of m paths, which gives an (m,) array of
-    scores; a single path gives a float.  Passing precomputed
+    scores; a single path gives a float.  Integer paths are range-checked
+    by their minimum and maximum and scored in their own dtype, so an int8
+    batch from the decoders is never widened whole.  Passing precomputed
     `log_emissions` avoids repeating emission work when scoring paths
     against the same observations.
     """

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -178,9 +179,45 @@ class TestDecodeKernel:
         tables = hp.forward_backward(model, x)
         grid = hp.default_alpha_grid()
         batch = hp.hybrid_paths(model, tables, grid)
-        assert batch.dtype == np.int64 and batch.shape == (257, 20_000)
+        assert batch.dtype == np.int8 and batch.shape == (257, 20_000)
         for alpha, row in zip(grid, batch):
             assert np.array_equal(row, hp.hybrid_paths(model, tables, [alpha])[0])
+
+
+def traced_peak_mb(call):
+    """call() and the peak of the memory it allocated, in MB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
+class TestInt8Paths:
+    def test_decoders_return_int8(self, earthquake_model, earthquake_counts):
+        tables = hp.forward_backward(earthquake_model, earthquake_counts)
+        assert hp.viterbi(earthquake_model, earthquake_counts).dtype == np.int8
+        assert hp.hybrid_paths(earthquake_model, tables, [0.0, 0.3, 1.0]).dtype == np.int8
+        result = hp.hybrid_decode(earthquake_model, tables, earthquake_counts, 0.3)
+        assert result.path.dtype == np.int8
+
+    def test_sweep_batch_memory(self):
+        # 257 int8 paths of 2*10^4 positions take 5.1 MB and the kernel's
+        # back-pointers 15.4 MB; an int64 batch alone would take 41 MB
+        model = hp.model_grid([0.8], [5])[0]
+        _, x = hp.simulate(model, 20_000, seed=3)
+        tables = hp.forward_backward(model, x)
+        paths, decode_mb = traced_peak_mb(
+            lambda: hp.hybrid_paths(model, tables, hp.default_alpha_grid())
+        )
+        assert paths.dtype == np.int8 and paths.shape == (257, 20_000)
+        assert decode_mb < 30
+        _, score_mb = traced_peak_mb(
+            lambda: hp.log_joint(model, paths, x, log_emissions=tables.log_emissions)
+        )
+        assert score_mb < 20
 
 
 class TestRisks:

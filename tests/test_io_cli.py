@@ -204,9 +204,18 @@ def test_readme_library_block_runs(monkeypatch):
     library = readme.split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     monkeypatch.chdir(REPO_ROOT)
+    namespace = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        exec(compile(code, "README.md", "exec"), {})
+        exec(compile(code, "README.md", "exec"), namespace)
+    # a comment "(rows, n) <dtype> labels" states the shape and dtype of the
+    # array its line assigns
+    claims = re.findall(r"^(\w+) = .*# \((\d+), n\) (\w+) labels", code, re.MULTILINE)
+    assert [name for name, _, _ in claims] == ["paths", "decoded"]
+    n = namespace["x"].size
+    for name, rows, dtype in claims:
+        value = namespace[name]
+        assert (value.shape, value.dtype) == ((int(rows), n), np.dtype(dtype)), name
 
 
 def run_cli(args):
@@ -235,6 +244,18 @@ class TestCliDecode:
         rows = list(csv.DictReader((tmp_path / "decode.csv").open()))
         assert len(rows) == 225
         assert all(r["posterior_state"] == r["viterbi_state"] for r in rows)
+
+    @pytest.mark.parametrize("alpha", ["nan", "1.5", "-0.1"])
+    def test_alpha_is_checked_first(self, tmp_path, capsys, alpha):
+        # neither input exists, so reading one first would end in a parse error
+        out = tmp_path / "out"
+        rc = run_cli(["decode", "--model", tmp_path / "missing.txt",
+                      "--obs", tmp_path / "missing.csv", "--out", out, "--alpha", alpha])
+        assert rc == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: argument-error: alpha values must lie in [0, 1]"]
+        assert not out.exists()
 
     def test_lamb_without_renormalize_fails_validation(self, tmp_path, capsys):
         rc = run_cli(["decode", "--model", "fetal-lamb", "--obs", "fetal-lamb",
@@ -578,6 +599,19 @@ class TestCliArtemisAndBlockwise:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: argument-error: ")
         assert "--block-sizes" in err[0] and "'1,x'" in err[0]
+
+    @pytest.mark.parametrize("alpha", ["nan", "1.5", "-0.1"])
+    def test_blockwise_alpha_is_checked_first(self, tmp_path, capsys, alpha):
+        # the model file does not exist, so reading any input first would
+        # end in a parse error
+        out = tmp_path / "out"
+        rc = run_cli(["blockwise", "--model", tmp_path / "missing.txt", "--out", out,
+                      "--alpha", alpha, "--n", "50", "--replicates", "1"])
+        assert rc == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: argument-error: alpha values must lie in [0, 1]"]
+        assert not out.exists()
 
 
 class TestCliSimulate:

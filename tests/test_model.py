@@ -343,6 +343,43 @@ class TestLogJoint:
                 with pytest.raises(ValueError, match="state labels must be integers"):
                     hp.log_joint(model, bad, x)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_int8_batch_scores_as_int64(self, monkeypatch, k):
+        # small blocks, so that a batch spans several of them
+        monkeypatch.setattr(hp.model, "_LOG_JOINT_BLOCK", 1000)
+        rng = np.random.default_rng(400 + k)
+        for _ in range(6):
+            model, x = random_instance(rng, num_states=k, n_low=1, n_high=300)
+            batch = rng.integers(1, k + 1, size=(9, x.size))
+            batch[0] = k
+            narrow = batch.astype(np.int8)
+            assert np.array_equal(hp.log_joint(model, narrow, x), hp.log_joint(model, batch, x))
+            for row in (0, 5):
+                assert hp.log_joint(model, narrow[row], x) == hp.log_joint(model, batch[row], x)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_int8_labels_out_of_range(self, k):
+        model = random_model(np.random.default_rng(k), num_states=k)
+        x = [1, 2, 3, 4]
+        for bad in (0, k + 1, -1):
+            batch = np.ones((3, 4), dtype=np.int64)
+            batch[2, 1] = bad
+            for s in (batch, batch[2]):
+                with pytest.raises(ValueError) as wide:
+                    hp.log_joint(model, s, x)
+                with pytest.raises(ValueError) as narrow:
+                    hp.log_joint(model, s.astype(np.int8), x)
+                assert str(narrow.value) == str(wide.value) == f"state labels must lie in 1..{k}"
+
+    def test_bool_and_float_labels(self):
+        model = hp.model_grid([0.8], [5])[0]
+        x = [20, 20]
+        ones = np.ones((2, 2), dtype=np.int64)
+        assert np.array_equal(hp.log_joint(model, ones.astype(bool), x), hp.log_joint(model, ones, x))
+        for bad in ([True, False], [[True, True], [False, True]], [1.0, 0.0], [[1.0, 4.0]]):
+            with pytest.raises(ValueError, match=re.escape("state labels must lie in 1..3")):
+                hp.log_joint(model, bad, x)
+
     def test_path_sum_equals_likelihood(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
