@@ -149,7 +149,21 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _check_longest_run_level(ell: int) -> None:
+    states = _longest_run_size(ell)
+    if states > _MAX_LONGEST_RUN_STATES:
+        raise ValueError(
+            f"longest-run level {ell} needs {states} imbedded states, more than "
+            f"{_MAX_LONGEST_RUN_STATES}; pass a smaller --ell to get a truncated "
+            "distribution"
+        )
+
+
 def cmd_fmci(args) -> int:
+    requested = args.statistic or _STATISTICS
+    fixed_ell = _parse_ell(args.ell)
+    if fixed_ell is not None and "longest-run" in requested:
+        _check_longest_run_level(fixed_ell)  # before any input is read and --out is made
     model = _load_model(args)
     if model.num_states != 2:
         raise TwoStateRequiredError(
@@ -158,14 +172,12 @@ def cmd_fmci(args) -> int:
             "function of a Markov chain need not be Markov"
         )
     x = _load_counts(args)
-    fixed_ell = _parse_ell(args.ell)
-    parsed = [_parse_statistic(s, x.size) for s in args.statistic or _STATISTICS]
+    parsed = [_parse_statistic(s, x.size) for s in requested]
     if not 0 <= args.expected_runs <= x.size:
         raise ValueError(
             f"--expected-runs must be between 0 and the series length n = {x.size}, "
             f"got {args.expected_runs}"
         )
-    out = _outdir(args)
     tables = forward_backward(model, x)
     chain = build_posterior_chain(model, tables)
     if args.target_state == 1:
@@ -175,13 +187,9 @@ def cmd_fmci(args) -> int:
         for statistic, run_length in parsed
     ]
     for (statistic, _), ell in zip(parsed, levels):
-        states = _longest_run_size(ell)
-        if statistic == "longest_run" and states > _MAX_LONGEST_RUN_STATES:
-            raise ValueError(
-                f"longest-run level {ell} needs {states} imbedded states, more than "
-                f"{_MAX_LONGEST_RUN_STATES}; pass a smaller --ell to get a truncated "
-                "distribution"
-            )
+        if statistic == "longest_run":
+            _check_longest_run_level(ell)
+    out = _outdir(args)
     io.write_stay_csv(out / "stay_probs.csv", stay_probabilities(chain))
 
     exact_runs = {}  # run length -> distribution, reused by --expected-runs
@@ -206,6 +214,8 @@ def cmd_fmci(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.samples < 1:  # before any input is read and --out is made
+        raise ValueError("number of paths must be at least 1")
     model = _load_model(args)
     x = _load_counts(args)
     out = _outdir(args)
@@ -290,6 +300,8 @@ def cmd_blockwise(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:  # before any input is read and --out is made
+        raise ValueError("sequence length must be at least 1")
     model = _load_model(args)
     out = _outdir(args)
     states, counts = simulate(model, args.n, args.seed)

@@ -30,13 +30,15 @@ describe the whole step matrix: each template entry (src, dst, kind,
 advance) is repeated in every block, and an entry with advance 1 counts one
 more, so it lands in the next block, or in the overflow state from the last
 block.  longest_run is the exception: its block m holds the run lengths
-1..m in progress, so its blocks grow with m and it is built by a loop of
-its own.
+1..m in progress, so its blocks grow with m, and _longest_run_spec lays
+out its entries by index arithmetic instead of a template.
 
 Every transition row has at most two nonzero entries drawn from
 {a, 1-a, b, 1-b, 1}, and a step reads only the window of imbedded states
 that hold mass, so propagation costs in proportion to the sum over the n
-steps of that window's width, at most O(n * size).
+steps of that window's width, at most O(n * size).  longest_run fills
+almost all of its (ell + 1)(ell + 2)/2 + 1 states, so propagate steps it
+on a dense run-length x block array instead of its entries (see propagate).
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ _A, _NA, _B, _NB, _ONE = 0, 1, 2, 3, 4
 OVERFLOW_TOL = 1e-12
 
 # most imbedded states the CLI builds for longest_run (see _longest_run_size);
-# a whole longest-run call near this size took 12 s and 360 MB on a 2-core host
+# a whole longest-run call near this size (ell = 1412, 998,992 states) took
+# 6.0-7.3 s and a peak RSS of 163 MB on a 2-core host, most of that peak
+# from building the spec
 _MAX_LONGEST_RUN_STATES = 10**6
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
@@ -236,6 +240,62 @@ def _max_upto(rows: np.ndarray, values: np.ndarray, size: int) -> list[int]:
     return np.maximum.accumulate(out).tolist()
 
 
+def _propagate_longest_run(
+    spec: ImbeddingSpec, v: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """propagate for longest_run, stepped on the dense layout its docstring gives."""
+    ell = spec.truncation
+    width, diag = ell + 1, ell + 2  # diag: the flat stride of diagonals
+    # block m's position j < m is the run of length j + 1, position m is
+    # "in state 1"; the overflow stays outside the dense buffers
+    m = spec.values[:-1]
+    j = np.arange(m.size) - m * (m + 1) // 2
+    flat_index = np.where(j == m, 0, j + 1) * width + m
+    dense = np.zeros((2, ell + 2, width))  # the state after an even / odd step
+    dense[0].reshape(-1)[flat_index] = v[:-1]
+    overflow = v[-1]
+
+    def views(buf, lo, hi):
+        # read: rows 0..hi of blocks lo..hi; written: rows 0..hi+1 of them,
+        # the records (m + 1, m) of blocks lo..hi, and the diagonal entries
+        # (m + 1, m + 1) of the records that stay below the overflow
+        live, flat = buf[: hi + 2, lo : hi + 1], buf.reshape(-1)
+        records = flat[lo * diag + width : hi * diag + width + 1 : diag]
+        top = min(hi, ell - 1) - lo + 1
+        targets = flat[(lo + 1) * diag :: diag][:top]
+        return (live[0], live[1 : hi + 1]), (
+            live[0], live[1], live[2:], live[1:], records, records[:top], targets
+        )
+
+    lo, hi = 0, 1  # the live blocks; at least two, or the reduce may sum pairwise
+    window = [views(buf, lo, hi) for buf in dense]
+    for step, (at, nat, bt, nbt) in enumerate(zip(a, 1.0 - a, b, 1.0 - b)):
+        row0, rest = window[step & 1][0]
+        state1, row1, below, summed, records, moved, targets = window[~step & 1][1]
+        np.multiply(row0, at, out=row1)
+        np.multiply(rest, nbt, out=below)
+        np.add.reduce(summed, axis=0, out=state1)
+        np.multiply(row0, nat, out=row1)
+        np.multiply(rest, bt, out=below)
+        np.add(targets, moved, out=targets)  # each record up one block
+        if hi == ell:
+            overflow = overflow + records[-1]
+        records.fill(0.0)
+        stepped = (lo, hi)
+        if hi < ell and targets[-1] != 0.0:
+            hi += 1
+        nxt = dense[~step & 1]
+        while lo < hi - 1 and nxt[0, lo] == 0.0 and not nxt[1 : lo + 1, lo].any():
+            dense[step & 1][: lo + 1, lo] = 0.0  # left from the step before
+            lo += 1
+        if (lo, hi) != stepped:
+            window = [views(buf, lo, hi) for buf in dense]
+    final = np.empty(spec.size)
+    final[:-1] = dense[a.size & 1].reshape(-1)[flat_index]
+    final[-1] = overflow
+    return final
+
+
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
 
@@ -251,9 +311,27 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     sums).  After a step the mass lies within [low[lo], high[hi]], the
     lowest column of an entry whose row is at least lo and the highest of
     one whose row is at most hi, and zeros are trimmed off both ends.
+
+    longest_run steps two dense buffers of shape (ell + 2, ell + 1) instead:
+    row 0 is "in state 1", row r "a run of length r in progress", column m
+    the block "longest run so far is m", and entries with r > m are zero.
+    One step multiplies row 0 by a and the rows below by 1 - b, and adds
+    them down each column with np.add.reduce(axis=0) into the new row 0; it
+    multiplies row 0 by 1 - a into row 1 and each row r by b into row r + 1;
+    then it moves each record, block m's run of length m + 1, from (m + 1, m)
+    to (m + 1, m + 1), or from block ell into the overflow.  The reduce adds
+    the rows in order, so each state-1 sum is ((T0 a + T1 (1-b)) + T2 (1-b))
+    + ..., the spec's entry order, and every other state has at most two
+    terms, which add alike in either order: the result is bit-identical to
+    the product over the entries.  A window of at least two columns keeps
+    numpy from summing a single column pairwise.  The window spans the live
+    blocks: it grows by one block with each nonzero record and drops
+    emptied blocks from the left.
     """
     a, b = stay_probabilities(chain)
     v = spec.initial_vector(chain.init[0], chain.init[1])
+    if spec.statistic == "longest_run":
+        return _propagate_longest_run(spec, v, a, b)
     rows, cols, kinds = spec.rows, spec.cols, spec.kinds
     size = spec.size
     lo, hi = sorted(spec.eta_slots)

@@ -9,8 +9,9 @@ which pins the blocked scan to within 1e-12; and, bit for bit,
 `reference_decode`, the decoding recursion one alpha and one step at a time,
 which pins the batched kernel's tie-breaking; `reference_propagate`, the
 FMCI product over every entry of the step matrix, which pins the windowed
-propagation; the `reference_build_*` functions, one Python loop per FMCI
-imbedding, which pin the arrays of `build_spec`; `reference_simulate` and
+propagation and the dense longest-run step; the `reference_build_*`
+functions, one Python loop per FMCI imbedding, which pin the arrays of
+`build_spec`; `reference_simulate` and
 `reference_sample_posterior_paths`, one step per position, which pin the
 simulated and sampled paths; and the `reference_write_*` functions,
 `csv.writer` loops that pin the bytes of every output file.

@@ -335,6 +335,95 @@ class TestWindowedPropagation:
                 self.assert_bit_identical(spec, manual_chain(init, [stay1], [stay2]))
 
 
+class CountingNumpy:
+    """numpy for the fmci module, counting the entries np.multiply writes."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, x, y, out):
+        self.entries += out.size
+        return np.multiply(x, y, out=out)
+
+
+class TestDenseLongestRun:
+    """The dense longest-run step against the product over every entry, bit for bit."""
+
+    assert_bit_identical = staticmethod(TestWindowedPropagation.assert_bit_identical)
+
+    def test_block_zero_emptied_at_the_first_step(self):
+        rng = np.random.default_rng(7)
+        stay1, stay2 = rng.uniform(size=(2, 11))
+        stay1[0] = 0.0  # every path in state 1 opens a run
+        final = self.assert_bit_identical(
+            hp.build_spec("longest_run", 6), manual_chain([0.6, 0.4], stay1, stay2)
+        )
+        assert final[0] == 0.0 and final[1:].sum() > 0.0
+
+    def test_low_blocks_emptied_by_a_climbing_run(self):
+        # every path is in state 2 at position 2 and stays to position 10, so
+        # blocks 0..8 empty one by one; random stays follow
+        rng = np.random.default_rng(11)
+        stay1, stay2 = rng.uniform(size=(2, 24))
+        stay1[0], stay2[:9] = 0.0, 1.0
+        spec = hp.build_spec("longest_run", 20)
+        final = self.assert_bit_identical(spec, manual_chain([0.5, 0.5], stay1, stay2))
+        dist = hp.aggregate(spec, final)
+        assert not dist.probs[:9].any() and dist.probs[9] > 0.0
+
+    def test_the_window_drops_the_emptied_blocks(self, monkeypatch):
+        # one run climbs through every block, so two blocks hold all the mass
+        # and each step multiplies 2 * (hi + 1) entries of each of them
+        counting = CountingNumpy()
+        monkeypatch.setattr(hp.fmci, "np", counting)
+        ell, n = 300, 200
+        spec = hp.build_spec("longest_run", ell)
+        final = hp.propagate(spec, manual_chain([0.0, 1.0], np.ones(n - 1), np.ones(n - 1)))
+        monkeypatch.undo()
+        assert final[spec.values == n].sum() == 1.0
+        assert counting.entries <= 4 * (n + 1) * (n - 1)
+
+    def test_all_mass_in_the_last_block(self):
+        # a run of length ell puts every path in block ell; the state-1 sums
+        # of its many rows must still add in the spec's order
+        rng = np.random.default_rng(3)
+        ell = 12
+        stay1, stay2 = rng.uniform(0.2, 0.9, size=(2, ell + 40))
+        stay2[: ell - 1] = 1.0
+        spec = hp.build_spec("longest_run", ell)
+        final = self.assert_bit_identical(spec, manual_chain([0.0, 1.0], stay1, stay2))
+        assert not hp.aggregate(spec, final).probs[:ell].any()
+
+    @pytest.mark.parametrize("ell", [1, 2, 5])
+    def test_record_into_the_overflow_on_the_last_step(self, ell):
+        # a run longer than ell needs ell + 1 positions, so the overflow
+        # fills at the last step only
+        rng = np.random.default_rng(ell)
+        stay1 = rng.uniform(size=ell)
+        chain = manual_chain([0.3, 0.7], stay1, np.full(ell, 0.9))
+        spec = hp.build_spec("longest_run", ell)
+        assert self.assert_bit_identical(spec, prefix(chain, ell))[-1] == 0.0
+        assert self.assert_bit_identical(spec, chain)[-1] == pytest.approx(0.7 * 0.9**ell)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 30])
+    def test_levels_from_one_to_above_the_series_length(self, n):
+        chains = [random_stay_chain(seed, 30) for seed in range(4)]
+        for ell in sorted({1, 2, max(n - 1, 1), n, n + 5}):
+            spec = hp.build_spec("longest_run", ell)
+            for chain in chains:
+                self.assert_bit_identical(spec, prefix(chain, n))
+
+    def test_earthquake_series_at_its_auto_level(self, earthquake_model):
+        _, x = hp.simulate(earthquake_model, 2000, seed=5)
+        chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
+        ell = hp.auto_truncation(chain, "longest_run")
+        final = self.assert_bit_identical(hp.build_spec("longest_run", ell), chain)
+        assert 0.0 < final[-1] <= hp.fmci.OVERFLOW_TOL
+
+
 class TestExpectedRunCounts:
     def test_zero_for_chain_that_never_enters(self):
         chain = manual_chain([1.0, 0.0], stay1=np.ones(5), stay2=np.full(5, 0.5))

@@ -423,13 +423,36 @@ class TestCliFmci:
             raise AssertionError("the imbedding was built before its size was checked")
 
         monkeypatch.setattr(cli, "build_spec", refuse)
-        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", obs, "--out", tmp_path,
+        out = tmp_path / "out"
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", obs, "--out", out,
                       "--statistic", "longest-run"])
         assert rc == 7
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: argument-error: ")
         assert "level 1999" in err[0] and "2001001 imbedded states" in err[0]
         assert "--ell" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("statistics", [["--statistic", "longest-run"], []])
+    def test_fixed_longest_run_level_is_checked_first(
+        self, tmp_path, capsys, monkeypatch, statistics
+    ):
+        # the default statistics include longest-run
+        def refuse(*_):
+            raise AssertionError("forward_backward ran before the level was checked")
+
+        monkeypatch.setattr(cli, "forward_backward", refuse)
+        out = tmp_path / "out"
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--ell", "2000", *statistics, "--out", out])
+        assert rc == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: argument-error: longest-run level 2000 needs 2003002 imbedded states, "
+            "more than 1000000; pass a smaller --ell to get a truncated distribution"
+        ]
+        assert not out.exists()
 
 
 class TestCliSample:
@@ -628,6 +651,27 @@ class TestCliSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli(["decode", "--model", "earthquakes", "--out", tmp_path])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["sample", "--obs", "earthquakes", "--samples", "0"], "number of paths must be at least 1"),
+    (["sample", "--obs", "earthquakes", "--samples", "-3"], "number of paths must be at least 1"),
+    (["simulate", "--n", "0"], "sequence length must be at least 1"),
+    (["simulate", "--n", "-5"], "sequence length must be at least 1"),
+])
+def test_nonpositive_draw_count_is_one_error_line(tmp_path, capsys, monkeypatch, args, message):
+    # checked before any input is read and before --out is made
+    def refuse(*_):
+        raise AssertionError("forward_backward ran before the count was checked")
+
+    monkeypatch.setattr(cli, "forward_backward", refuse)
+    out = tmp_path / "out"
+    rc = run_cli([*args, "--model", "earthquakes", "--out", out])
+    assert rc == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: argument-error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, target, args", [
