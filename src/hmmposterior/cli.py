@@ -128,13 +128,13 @@ def cmd_decode(args) -> int:
     _check_alphas(args.alpha)  # before any input is read and --out is made
     model = _load_model(args)
     x = _load_counts(args)
-    out = _outdir(args)
     tables = forward_backward(model, x)
     marginals = posterior_marginals(tables)
     posterior_path = posterior_decode(marginals)
     viterbi_path = viterbi(model, x)
     result = hybrid_decode(model, tables, x, args.alpha)
     hybrid_marg = marginals[np.arange(x.size), result.path - 1]
+    out = _outdir(args)
     io.write_decode_csv(out / "decode.csv", x, posterior_path, viterbi_path,
                         result.path, hybrid_marg)
     lj_post, lj_vit = log_joint(
@@ -218,10 +218,10 @@ def cmd_sample(args) -> int:
         raise ValueError("number of paths must be at least 1")
     model = _load_model(args)
     x = _load_counts(args)
-    out = _outdir(args)
     tables = forward_backward(model, x)
     chain = build_posterior_chain(model, tables)
     paths = sample_posterior_paths(chain, args.samples, args.seed)
+    out = _outdir(args)
     io.write_samples_csv(out / "samples.csv", paths)
     marginals = posterior_marginals(tables)
     frequencies = np.stack(
@@ -242,17 +242,16 @@ def _check_study_size(args) -> None:
 
 def cmd_artemis(args) -> int:
     model = _load_model(args)
+    if args.obs and not args.states:
+        raise ValueError("--obs also needs --states (the true hidden sequence)")
     if not args.obs:
         _check_study_size(args)
-    out = _outdir(args)
     alphas = default_alpha_grid(args.alpha_grid)
     if args.obs:
-        if not args.states:
-            raise ValueError("--obs also needs --states (the true hidden sequence)")
         x = _load_counts(args)
         y = io.read_counts(_resolve(args.states, "obs"))
         curve = sweep(model, x, y, alphas)
-        io.write_curve_csv(out / "artemis_curve.csv", curve)
+        io.write_curve_csv(_outdir(args) / "artemis_curve.csv", curve)
         print(f"optimal_alpha={optimal_alpha(curve):.12g}")
         return 0
     if args.n < 10_000:
@@ -262,6 +261,7 @@ def cmd_artemis(args) -> int:
             "sequence length",
             file=sys.stderr,
         )
+    out = _outdir(args)
 
     def save_curve(r: int, curve) -> None:
         io.write_curve_csv(out / f"artemis_curve_{r + 1}.csv", curve)
@@ -284,7 +284,6 @@ def cmd_blockwise(args) -> int:
     _check_alphas(args.alpha)  # before any input is read and --out is made
     model = _load_model(args)
     _check_study_size(args)
-    out = _outdir(args)
     try:
         block_sizes = [int(b) for b in args.block_sizes.split(",")]
     except ValueError:
@@ -294,6 +293,7 @@ def cmd_blockwise(args) -> int:
     rows = blockwise_study(
         model, args.n, args.replicates, [args.alpha], block_sizes, args.seed
     )
+    out = _outdir(args)
     io.write_blockwise_csv(out / "blockwise.csv", rows)
     print(f"wrote {out / 'blockwise.csv'}")
     return 0

@@ -26,19 +26,19 @@ so far, followed by one absorbing overflow state.  jumps, runs and
 positions have two situations per block (in state 2, in state 1); exact_run
 with run length k has k + 2 (a run already longer than k, in state 1, and a
 run of length 1..k in progress).  One block's transitions, its template,
-describe the whole step matrix: each template entry (src, dst, kind,
-advance) is repeated in every block, and an entry with advance 1 counts one
+describe the whole step matrix: propagate repeats each template entry (src,
+dst, kind, advance) in every block, and an entry with advance 1 counts one
 more, so it lands in the next block, or in the overflow state from the last
 block.  longest_run is the exception: its block m holds the run lengths
-1..m in progress, so its blocks grow with m, and _longest_run_spec lays
-out its entries by index arithmetic instead of a template.
+1..m in progress, so its blocks grow with m, and propagate steps it on a
+dense run-length x block array instead of entries.  A spec holds only the
+state space; the step rule is propagate's.
 
 Every transition row has at most two nonzero entries drawn from
 {a, 1-a, b, 1-b, 1}, and a step reads only the window of imbedded states
 that hold mass, so propagation costs in proportion to the sum over the n
 steps of that window's width, at most O(n * size).  longest_run fills
-almost all of its (ell + 1)(ell + 2)/2 + 1 states, so propagate steps it
-on a dense run-length x block array instead of its entries (see propagate).
+almost all of its (ell + 1)(ell + 2)/2 + 1 states (see propagate).
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ OVERFLOW_TOL = 1e-12
 
 # most imbedded states the CLI builds for longest_run (see _longest_run_size);
 # a whole longest-run call near this size (ell = 1412, 998,992 states) took
-# 6.0-7.3 s and a peak RSS of 163 MB on a 2-core host, most of that peak
-# from building the spec
+# about 6 s and a peak RSS of 101-104 MB on a 2-core host
 _MAX_LONGEST_RUN_STATES = 10**6
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
@@ -91,11 +90,9 @@ class ImbeddingSpec:
     values      : statistic value of each imbedded state; truncation + 1
                   designates the overflow bucket.
 
-    rows/cols/kinds encode the sparse step matrix: entry (rows[e], cols[e])
-    holds a, 1-a, b, 1-b or 1 according to kinds[e].  For every statistic
-    but longest_run, state c * width + s is situation s of block c (see the
-    module docstring) and the last state is the overflow; the entries run
-    block by block in the template's order, then the overflow's self-loop.
+    For every statistic but longest_run, state c * width + s is situation s
+    of block c (see the module docstring); the last state is the overflow.
+    The spec stores no step matrix: propagate derives it from the statistic.
     """
 
     statistic: str
@@ -104,9 +101,6 @@ class ImbeddingSpec:
     run_length: int | None
     eta_slots: tuple[int, int]
     values: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    kinds: np.ndarray
 
     def initial_vector(self, eta1: float, eta2: float) -> np.ndarray:
         """Imbedded initial distribution from the two conditional initial probs."""
@@ -116,40 +110,21 @@ class ImbeddingSpec:
         return v
 
 
-def _freeze_spec(statistic, truncation, run_length, eta_slots, values, rows, cols, kinds):
-    arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (values, rows, cols, kinds)]
-    for a in arrays:
-        a.flags.writeable = False
-    values, rows, cols, kinds = arrays
-    return ImbeddingSpec(
-        statistic=statistic,
-        truncation=truncation,
-        size=values.size,
-        run_length=run_length,
-        eta_slots=eta_slots,
-        values=values,
-        rows=rows,
-        cols=cols,
-        kinds=kinds,
-    )
+def _freeze_spec(statistic, truncation, run_length, eta_slots, values):
+    values.flags.writeable = False
+    return ImbeddingSpec(statistic, truncation, values.size, run_length, eta_slots, values)
 
 
-def _tiled(statistic, ell, width, template, eta_slots, run_length=None, open_run=None):
-    """ell + 1 blocks of `width` situations, each stepping by `template`.
+def _tiled(statistic, ell, width, eta_slots, run_length=None, open_run=None):
+    """ell + 1 blocks of `width` situations, then the overflow state.
 
     `open_run` is the exact_run situation that counts one more when the
     sequence ends in it.
     """
-    src, dst, kind, advance = np.array(template, dtype=np.int64).T
-    base = np.arange(ell + 1, dtype=np.int64)[:, None] * width
-    overflow = (ell + 1) * width
-    rows = np.append(base + src, overflow)
-    cols = np.append(np.minimum(base + dst + advance * width, overflow), overflow)
-    kinds = np.append(np.tile(kind, ell + 1), _ONE)
-    values = np.arange(overflow + 1, dtype=np.int64) // width
+    values = np.arange((ell + 1) * width + 1, dtype=np.int64) // width
     if open_run is not None:
         values[open_run::width] += 1
-    return _freeze_spec(statistic, ell, run_length, eta_slots, values, rows, cols, kinds)
+    return _freeze_spec(statistic, ell, run_length, eta_slots, values)
 
 
 def _exact_run_block(k: int) -> list[tuple[int, int, int, int]]:
@@ -159,6 +134,27 @@ def _exact_run_block(k: int) -> list[tuple[int, int, int, int]]:
     for j in range(2, k + 1):
         block += [(j, j + 1, _B, 0), (j, 1, _NB, 0)]
     return block + [(k + 1, 0, _B, 0), (k + 1, 1, _NB, 1)]
+
+
+def _entries(spec: ImbeddingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step matrix of a tiled spec as (rows, cols, kinds).
+
+    Entry (rows[e], cols[e]) holds a, 1-a, b, 1-b or 1 according to
+    kinds[e].  The entries run block by block in the template's order, then
+    the overflow's self-loop.
+    """
+    if spec.statistic == "exact_run":
+        template = _exact_run_block(spec.run_length)
+    else:
+        template = _POSITIONS_BLOCK if spec.statistic == "positions" else _JUMP_BLOCK
+    src, dst, kind, advance = np.array(template, dtype=np.int64).T
+    overflow = spec.size - 1
+    width = overflow // (spec.truncation + 1)
+    base = np.arange(spec.truncation + 1, dtype=np.int64)[:, None] * width
+    rows = np.append(base + src, overflow)
+    cols = np.append(np.minimum(base + dst + advance * width, overflow), overflow)
+    kinds = np.append(np.tile(kind, spec.truncation + 1), _ONE)
+    return rows, cols, kinds
 
 
 def _longest_run_size(ell: int) -> int:
@@ -174,33 +170,10 @@ def _longest_run_spec(ell: int) -> ImbeddingSpec:
     1..m followed by an in-state-1 state.  A run reaching length m+1 enters
     block m+1 (or the overflow state beyond the truncation); shorter runs
     move within their block.
-
-    Block m's entries come in m + 1 pairs, one per state of the block: pair
-    0 leaves the in-state-1 state (stay, or open a run of length 1), and
-    pair r >= 1 leaves the run of length r (grow, or end it).  So the pairs
-    of all blocks are indexed by the states 1..size-2 themselves, between
-    block 0's pair and the overflow's self-loop.
     """
     blocks = np.arange(ell + 1, dtype=np.int64)
-    size = _longest_run_size(ell)
-    overflow = size - 1
     values = np.append(np.repeat(blocks, blocks + 1), ell + 1)
-    m = values[1:overflow]
-    base = m * (m + 1) // 2
-    r = np.arange(1, overflow, dtype=np.int64) - base  # 0 for the in-state-1 pair
-    state1 = base + m
-    opens = r == 0
-    longer = np.where(m < ell, (m + 1) * (m + 2) // 2 + m, overflow)
-    grow = np.where(r == m, longer, base + r)  # a run of length m + 1 sets a record
-    leave = np.where(opens, state1, base + r - 1)  # in state 1, or a run of length r
-
-    def pairs(head, first, second, tail):
-        return np.concatenate((head, np.stack([first, second], axis=1).ravel(), [tail]))
-
-    rows = pairs([0, 0], leave, leave, overflow)
-    cols = pairs([0, 1], np.where(opens, state1, grow), np.where(opens, base, state1), overflow)
-    kinds = pairs([_A, _NA], np.where(opens, _A, _B), np.where(opens, _NA, _NB), _ONE)
-    return _freeze_spec("longest_run", ell, None, (0, 1), values, rows, cols, kinds)
+    return _freeze_spec("longest_run", ell, None, (0, 1), values)
 
 
 def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
@@ -210,9 +183,9 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
     if statistic in ("jumps", "runs"):
         # a start in state 2 opens a run but is no jump
         eta_slots = (1, 0) if statistic == "jumps" else (1, 2)
-        return _tiled(statistic, truncation, 2, _JUMP_BLOCK, eta_slots)
+        return _tiled(statistic, truncation, 2, eta_slots)
     if statistic == "positions":
-        return _tiled(statistic, truncation, 2, _POSITIONS_BLOCK, (1, 2))
+        return _tiled(statistic, truncation, 2, (1, 2))
     if statistic == "longest_run":
         return _longest_run_spec(truncation)
     if statistic == "exact_run":
@@ -221,7 +194,7 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
         if run_length < 1:
             raise ValueError("run length must be at least 1")
         k = run_length
-        return _tiled(statistic, truncation, k + 2, _exact_run_block(k), (1, 2), k, k + 1)
+        return _tiled(statistic, truncation, k + 2, (1, 2), k, k + 1)
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -300,17 +273,19 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
 
     One sparse vector-matrix product per position; the result sums to one.
-    A step costs in proportion to the width of the window [lo, hi] of
-    imbedded states that hold mass, not to the size of the imbedding.
-    Entries first[lo]:last[hi] cover every entry whose row lies in the
-    window, in the spec's own entry order, and bincount adds each bin's
-    terms in that order.  The slice may take in rows outside the window;
-    they hold exact zeros, and adding +0.0 to a sum of non-negative terms
-    leaves it unchanged, so every bin is bit-identical to the product over
-    all entries (sorting the entries by row would not be: it reorders the
-    sums).  After a step the mass lies within [low[lo], high[hi]], the
-    lowest column of an entry whose row is at least lo and the highest of
-    one whose row is at most hi, and zeros are trimmed off both ends.
+    The entries of the step matrix are the block template repeated in every
+    block, then the overflow's self-loop (see _entries).  A step costs in
+    proportion to the width of the window [lo, hi] of imbedded states that
+    hold mass, not to the size of the imbedding.  Entries first[lo]:last[hi]
+    cover every entry whose row lies in the window, in that order, and
+    bincount adds each bin's terms in that order.  The slice may take in
+    rows outside the window; they hold exact zeros, and adding +0.0 to a sum
+    of non-negative terms leaves it unchanged, so every bin is bit-identical
+    to the product over all entries (sorting the entries by row would not
+    be: it reorders the sums).  After a step the mass lies within
+    [low[lo], high[hi]], the lowest column of an entry whose row is at
+    least lo and the highest of one whose row is at most hi, and zeros are
+    trimmed off both ends.
 
     longest_run steps two dense buffers of shape (ell + 2, ell + 1) instead:
     row 0 is "in state 1", row r "a run of length r in progress", column m
@@ -321,9 +296,10 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     then it moves each record, block m's run of length m + 1, from (m + 1, m)
     to (m + 1, m + 1), or from block ell into the overflow.  The reduce adds
     the rows in order, so each state-1 sum is ((T0 a + T1 (1-b)) + T2 (1-b))
-    + ..., the spec's entry order, and every other state has at most two
+    + ..., the order of the loop-built entries (block by block, each block's
+    state 1 first, then its runs), and every other state has at most two
     terms, which add alike in either order: the result is bit-identical to
-    the product over the entries.  A window of at least two columns keeps
+    the product over those entries.  A window of at least two columns keeps
     numpy from summing a single column pairwise.  The window spans the live
     blocks: it grows by one block with each nonzero record and drops
     emptied blocks from the left.
@@ -332,7 +308,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     v = spec.initial_vector(chain.init[0], chain.init[1])
     if spec.statistic == "longest_run":
         return _propagate_longest_run(spec, v, a, b)
-    rows, cols, kinds = spec.rows, spec.cols, spec.kinds
+    rows, cols, kinds = _entries(spec)
     size = spec.size
     lo, hi = sorted(spec.eta_slots)
     index = np.arange(rows.size)
@@ -372,10 +348,6 @@ class Distribution:
     @property
     def truncation(self) -> int:
         return int(self.support[-1])
-
-    def mean_lower_bound(self) -> float:
-        """Expected value with overflow mass counted at truncation + 1."""
-        return float((self.support * self.probs).sum() + (self.truncation + 1) * self.overflow)
 
 
 def aggregate(spec: ImbeddingSpec, final: np.ndarray) -> Distribution:
@@ -435,7 +407,8 @@ def expected_exact_run_counts(
         if dist is None or dist.truncation != ell:
             spec = build_spec("exact_run", ell, k)
             dist = aggregate(spec, propagate(spec, chain))
-        expected[k - 1] = dist.mean_lower_bound()
+        # the overflow mass counts at truncation + 1
+        expected[k - 1] = (dist.support * dist.probs).sum() + (ell + 1) * dist.overflow
         lower[k - 1] = dist.overflow > 1e-9
     return ExpectedRunCounts(
         run_lengths=np.arange(1, k_max + 1), expected=expected, lower_bound=lower

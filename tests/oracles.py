@@ -7,11 +7,12 @@ The exceptions are plain loops that pin a fast kernel:
 `reference_forward_backward`, the scaled recursions one position at a time,
 which pins the blocked scan to within 1e-12; and, bit for bit,
 `reference_decode`, the decoding recursion one alpha and one step at a time,
-which pins the batched kernel's tie-breaking; `reference_propagate`, the
-FMCI product over every entry of the step matrix, which pins the windowed
-propagation and the dense longest-run step; the `reference_build_*`
-functions, one Python loop per FMCI imbedding, which pin the arrays of
-`build_spec`; `reference_simulate` and
+which pins the batched kernel's tie-breaking; the `reference_build_*`
+functions, one Python loop per FMCI imbedding, which pin the state space
+of `build_spec` and list every entry of its step matrix, and
+`reference_propagate`, the FMCI product over all those entries, which
+together pin the windowed propagation and the dense longest-run step;
+`reference_simulate` and
 `reference_sample_posterior_paths`, one step per position, which pin the
 simulated and sampled paths; and the `reference_write_*` functions,
 `csv.writer` loops that pin the bytes of every output file.
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import poisson
 
 import hmmposterior as hp
-from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE, ImbeddingSpec
+from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE
 from hmmposterior.model import as_counts
 from hmmposterior.seeding import substream_seed
 
@@ -274,7 +276,7 @@ def reference_sample_posterior_paths(chain, m: int, seed: int) -> np.ndarray:
 
 
 def reference_propagate(spec, chain) -> np.ndarray:
-    """Final imbedded vector, one product over every entry of the step matrix per step."""
+    """Final imbedded vector of a ReferenceSpec, one product over all its entries per step."""
     a, b = hp.stay_probabilities(chain)
     v = spec.initial_vector(chain.init[0], chain.init[1])
     rows, cols, kinds = spec.rows, spec.cols, spec.kinds
@@ -290,28 +292,53 @@ def reference_propagate(spec, chain) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class ReferenceSpec:
+    """A loop-built FMCI imbedding: the fields of ImbeddingSpec plus its step matrix.
+
+    rows/cols/kinds list the entries of the step matrix: entry
+    (rows[e], cols[e]) holds a, 1-a, b, 1-b or 1 according to kinds[e].
+    """
+
+    statistic: str
+    truncation: int
+    size: int
+    run_length: int | None
+    eta_slots: tuple[int, int]
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    kinds: np.ndarray
+
+    def initial_vector(self, eta1: float, eta2: float) -> np.ndarray:
+        v = np.zeros(self.size)
+        v[self.eta_slots[0]] += eta1
+        v[self.eta_slots[1]] += eta2
+        return v
+
+
 def _reference_spec(statistic, truncation, size, run_length, eta_slots, values, entries):
-    rows = np.array([e[0] for e in entries], dtype=np.int64)
-    cols = np.array([e[1] for e in entries], dtype=np.int64)
-    kinds = np.array([e[2] for e in entries], dtype=np.int64)
+    rows, cols, kinds = np.array(entries, dtype=np.int64).T
     values = np.asarray(values, dtype=np.int64)
     assert values.size == size
-    for a in (rows, cols, kinds, values):
-        a.flags.writeable = False
-    return ImbeddingSpec(
-        statistic=statistic,
-        truncation=truncation,
-        size=size,
-        run_length=run_length,
-        eta_slots=eta_slots,
-        values=values,
-        rows=rows,
-        cols=cols,
-        kinds=kinds,
-    )
+    return ReferenceSpec(statistic, truncation, size, run_length, eta_slots, values,
+                         rows, cols, kinds)
 
 
-def reference_build_jump_chain(truncation: int, mode: str = "jumps") -> ImbeddingSpec:
+def reference_build_spec(statistic: str, truncation: int, run_length: int | None = None):
+    """The loop-built imbedding for a statistic, named as in build_spec."""
+    if statistic in ("jumps", "runs"):
+        return reference_build_jump_chain(truncation, statistic)
+    if statistic == "positions":
+        return reference_build_positions_chain(truncation)
+    if statistic == "exact_run":
+        return reference_build_exact_run_chain(run_length, truncation)
+    if statistic == "longest_run":
+        return reference_build_longest_run_chain(truncation)
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def reference_build_jump_chain(truncation: int, mode: str = "jumps") -> ReferenceSpec:
     """Imbedding for the number of 1 -> 2 jumps, or of state-2 runs.
 
     States come in (count, current-state) pairs: index 2c is (c, in state 2),
@@ -342,7 +369,7 @@ def reference_build_jump_chain(truncation: int, mode: str = "jumps") -> Imbeddin
     return _reference_spec(mode, ell, size, None, eta_slots, values, entries)
 
 
-def reference_build_positions_chain(truncation: int) -> ImbeddingSpec:
+def reference_build_positions_chain(truncation: int) -> ReferenceSpec:
     """Imbedding for the total number of positions in state 2.
 
     Index 0 is (0 positions, in state 1); for c = 1..truncation index 2c-1 is
@@ -370,7 +397,7 @@ def reference_build_positions_chain(truncation: int) -> ImbeddingSpec:
     return _reference_spec("positions", ell, size, None, (0, 1), values, entries)
 
 
-def reference_build_exact_run_chain(run_length: int, truncation: int) -> ImbeddingSpec:
+def reference_build_exact_run_chain(run_length: int, truncation: int) -> ReferenceSpec:
     """Imbedding for the count of state-2 runs of exactly `run_length`.
 
     Block m tracks "m completed runs of the target length" with run_length+2
@@ -410,7 +437,7 @@ def reference_build_exact_run_chain(run_length: int, truncation: int) -> Imbeddi
     return _reference_spec("exact_run", ell, size, k, (1, 2), values, entries)
 
 
-def reference_build_longest_run_chain(truncation: int) -> ImbeddingSpec:
+def reference_build_longest_run_chain(truncation: int) -> ReferenceSpec:
     """Imbedding for the longest state-2 run.
 
     Block m means "longest run so far is m".  Block 0 is the single state

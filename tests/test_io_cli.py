@@ -674,6 +674,36 @@ def test_nonpositive_draw_count_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,code,message", [
+    (["decode", "--obs", "{big}"], 6, "impossible-observation: no state the initial "
+     "distribution allows can emit count 100000 at position 1"),
+    (["sample", "--obs", "{big}", "--samples", "5"], 6, "impossible-observation: no state "
+     "the initial distribution allows can emit count 100000 at position 1"),
+    (["artemis", "--obs", "earthquakes"], 7,
+     "argument-error: --obs also needs --states (the true hidden sequence)"),
+    (["artemis", "--alpha-grid", "0"], 7, "argument-error: denominator must be at least 1"),
+    (["artemis", "--obs", "earthquakes", "--states", "{big}"], 7,
+     "argument-error: state labels must lie in 1..2"),
+    (["blockwise", "--alpha", "0.4", "--block-sizes", "1,x"], 7,
+     "argument-error: --block-sizes must be comma-separated integers, got '1,x'"),
+    (["blockwise", "--alpha", "0.4", "--n", "100", "--block-sizes", "1,500"], 7,
+     "argument-error: block size must lie in 1..100, got 500"),
+], ids=["decode-impossible", "sample-impossible", "artemis-no-states", "artemis-grid-0",
+        "artemis-bad-label", "blockwise-not-integer", "blockwise-block-beyond-n"])
+def test_failed_command_leaves_no_out(tmp_path, capsys, args, code, message):
+    # the earthquake model starts in state 1, which cannot emit 100000; as a
+    # state label 100000 lies outside 1..2
+    big = write(tmp_path, "big.csv", "100000\n3\n")
+    out = tmp_path / "out"
+    args = [arg.format(big=big) for arg in args]
+    rc = run_cli([*args, "--model", "earthquakes", "--out", out])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, target, args", [
     ("sample", "sample_posterior_paths",
      ["--obs", "earthquakes", "--samples", "1000000000"]),
