@@ -16,7 +16,6 @@ from .artemis import (
     default_alpha_grid,
     model_grid,
     optimal_alpha,
-    pointwise_accuracy,
     sweep,
 )
 from .chain import (

@@ -39,7 +39,6 @@ __all__ = [
     "BlockwiseRow",
     "DegenerateScalingError",
     "default_alpha_grid",
-    "pointwise_accuracy",
     "blockwise_accuracy",
     "sweep",
     "optimal_alpha",
@@ -58,15 +57,6 @@ def default_alpha_grid(denominator: int = 256) -> np.ndarray:
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
     return np.arange(denominator + 1) / denominator
-
-
-def pointwise_accuracy(s, y) -> float:
-    """Fraction of positions where the decoded and true sequences agree."""
-    s = np.asarray(s)
-    y = np.asarray(y)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValueError("sequences must be 1-d and of equal length")
-    return float(np.mean(s == y))
 
 
 def blockwise_accuracy(s, y, block_size: int) -> float:

@@ -43,6 +43,7 @@ from .decoding import (
 )
 from .fmci import (
     _MAX_LONGEST_RUN_STATES,
+    _largest_count,
     _longest_run_size,
     aggregate,
     auto_truncation,
@@ -182,10 +183,13 @@ def cmd_fmci(args) -> int:
     chain = build_posterior_chain(model, tables)
     if args.target_state == 1:
         chain = swap_states(chain)
-    levels = [
-        auto_truncation(chain, statistic, run_length) if fixed_ell is None else fixed_ell
-        for statistic, run_length in parsed
-    ]
+    levels = []
+    for statistic, run_length in parsed:
+        if fixed_ell is None:
+            levels.append(auto_truncation(chain, statistic, run_length))
+        else:  # no counting statistic exceeds its exact level; None for longest_run
+            top = _largest_count(x.size, statistic, run_length)
+            levels.append(fixed_ell if top is None else min(fixed_ell, top))
     for (statistic, _), ell in zip(parsed, levels):
         if statistic == "longest_run":
             _check_longest_run_level(ell)
@@ -342,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable (default: all but exact-run)")
     p.add_argument("--ell", default="auto",
                    help="truncation level, or 'auto': exact for the counting "
-                        "statistics, overflow at most 1e-12 for longest-run")
+                        "statistics, overflow at most 1e-12 for longest-run; a "
+                        "counting statistic's level is lowered to its auto level")
     p.add_argument("--expected-runs", type=int, default=0, metavar="K_MAX",
                    help="also emit expected exact-run counts for k = 1..K_MAX")
     p.add_argument("--target-state", type=int, choices=(1, 2), default=2,

@@ -198,35 +198,16 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _min_from(rows: np.ndarray, values: np.ndarray, size: int) -> list[int]:
-    # out[r] = min of values[e] over the entries with rows[e] >= r; every
-    # row has an entry, so the fill value never survives
-    out = np.full(size, np.iinfo(np.int64).max)
-    np.minimum.at(out, rows, values)
-    return np.minimum.accumulate(out[::-1])[::-1].tolist()
-
-
-def _max_upto(rows: np.ndarray, values: np.ndarray, size: int) -> list[int]:
-    # out[r] = max of values[e] over the entries with rows[e] <= r
-    out = np.full(size, -1)
-    np.maximum.at(out, rows, values)
-    return np.maximum.accumulate(out).tolist()
-
-
 def _propagate_longest_run(
-    spec: ImbeddingSpec, v: np.ndarray, a: np.ndarray, b: np.ndarray
+    ell: int, init: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """propagate for longest_run, stepped on the dense layout its docstring gives."""
-    ell = spec.truncation
     width, diag = ell + 1, ell + 2  # diag: the flat stride of diagonals
-    # block m's position j < m is the run of length j + 1, position m is
-    # "in state 1"; the overflow stays outside the dense buffers
-    m = spec.values[:-1]
-    j = np.arange(m.size) - m * (m + 1) // 2
-    flat_index = np.where(j == m, 0, j + 1) * width + m
     dense = np.zeros((2, ell + 2, width))  # the state after an even / odd step
-    dense[0].reshape(-1)[flat_index] = v[:-1]
-    overflow = v[-1]
+    # the spec's eta slots: block 0 (in state 1) and block 1's run of length 1;
+    # the overflow stays outside the dense buffers
+    dense[0, 0, 0], dense[0, 1, 1] = init
+    overflow = 0.0
 
     def views(buf, lo, hi):
         # read: rows 0..hi of blocks lo..hi; written: rows 0..hi+1 of them,
@@ -263,10 +244,11 @@ def _propagate_longest_run(
             lo += 1
         if (lo, hi) != stepped:
             window = [views(buf, lo, hi) for buf in dense]
-    final = np.empty(spec.size)
-    final[:-1] = dense[a.size & 1].reshape(-1)[flat_index]
-    final[-1] = overflow
-    return final
+    # block m of the spec is rows 1..m of column m, then row 0: copy row 0
+    # onto the records (m + 1, m) and read the triangle block by block
+    last = dense[a.size & 1]
+    np.fill_diagonal(last[1:], last[0])
+    return np.append(last[1:].T[np.tri(width, dtype=bool)], overflow)
 
 
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
@@ -274,18 +256,18 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
 
     One sparse vector-matrix product per position; the result sums to one.
     The entries of the step matrix are the block template repeated in every
-    block, then the overflow's self-loop (see _entries).  A step costs in
-    proportion to the width of the window [lo, hi] of imbedded states that
-    hold mass, not to the size of the imbedding.  Entries first[lo]:last[hi]
-    cover every entry whose row lies in the window, in that order, and
-    bincount adds each bin's terms in that order.  The slice may take in
-    rows outside the window; they hold exact zeros, and adding +0.0 to a sum
-    of non-negative terms leaves it unchanged, so every bin is bit-identical
-    to the product over all entries (sorting the entries by row would not
-    be: it reorders the sums).  After a step the mass lies within
-    [low[lo], high[hi]], the lowest column of an entry whose row is at
-    least lo and the highest of one whose row is at most hi, and zeros are
-    trimmed off both ends.
+    block, then the overflow's self-loop (see _entries), so their rows never
+    decrease.  A step costs in proportion to the width of the window
+    [lo, hi] of imbedded states that hold mass, not to the size of the
+    imbedding: the entries whose row lies in the window are the slice
+    first[lo]:last[hi], with first and last binary-searched in the rows, and
+    bincount adds each bin's terms in entry order.  Rows inside the window
+    may hold exact zeros, and adding +0.0 to a sum of non-negative terms
+    leaves it unchanged, so every bin is bit-identical to the product over
+    all entries.  After a step the mass lies within [low[lo], high[hi]],
+    the suffix minimum of the columns from entry first[lo] on and their
+    prefix maximum up to entry last[hi] - 1, and zeros are trimmed off both
+    ends.
 
     longest_run steps two dense buffers of shape (ell + 2, ell + 1) instead:
     row 0 is "in state 1", row r "a run of length r in progress", column m
@@ -302,18 +284,21 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     the product over those entries.  A window of at least two columns keeps
     numpy from summing a single column pairwise.  The window spans the live
     blocks: it grows by one block with each nonzero record and drops
-    emptied blocks from the left.
+    emptied blocks from the left.  The layout follows from ell alone: eta
+    starts at (0, 0) and (1, 1), the spec's eta slots, and the final vector
+    reads block m as rows 1..m of column m, then row 0.
     """
     a, b = stay_probabilities(chain)
-    v = spec.initial_vector(chain.init[0], chain.init[1])
     if spec.statistic == "longest_run":
-        return _propagate_longest_run(spec, v, a, b)
+        return _propagate_longest_run(spec.truncation, chain.init, a, b)
+    v = spec.initial_vector(chain.init[0], chain.init[1])
     rows, cols, kinds = _entries(spec)
     size = spec.size
     lo, hi = sorted(spec.eta_slots)
-    index = np.arange(rows.size)
-    first, last = _min_from(rows, index, size), _max_upto(rows, index + 1, size)
-    low, high = _min_from(rows, cols, size), _max_upto(rows, cols, size)
+    first, last = (np.searchsorted(rows, np.arange(size), side=s) for s in ("left", "right"))
+    low = np.minimum.accumulate(cols[::-1])[::-1][first].tolist()
+    high = np.maximum.accumulate(cols)[last - 1].tolist()
+    first, last = first.tolist(), last.tolist()
     coef = np.empty((a.size, 5))
     coef[:, _A] = a
     coef[:, _NA] = 1.0 - a
@@ -391,10 +376,11 @@ def expected_exact_run_counts(
 ) -> ExpectedRunCounts:
     """Expected count of exact-length-k runs for k = 1..k_max.
 
-    With truncation None each k is propagated at auto_truncation's exact
-    level, so every count is exact.  `computed` maps a run length k to the
-    exact_run distribution the caller already holds for this chain; one at
-    the level this call uses is taken in place of a second propagation.
+    Each k is propagated at auto_truncation's exact level, so every count is
+    exact, or at `truncation` where that is lower.  `computed` maps a run
+    length k to the exact_run distribution the caller already holds for this
+    chain; one at the level this call uses is taken in place of a second
+    propagation.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -402,7 +388,10 @@ def expected_exact_run_counts(
     expected = np.empty(k_max)
     lower = np.zeros(k_max, dtype=bool)
     for k in range(1, k_max + 1):
-        ell = auto_truncation(chain, "exact_run", k) if truncation is None else truncation
+        if truncation is None:
+            ell = auto_truncation(chain, "exact_run", k)
+        else:  # no value lies above the exact level
+            ell = min(truncation, _largest_count(chain.n, "exact_run", k))
         dist = computed.get(k)
         if dist is None or dist.truncation != ell:
             spec = build_spec("exact_run", ell, k)
@@ -415,16 +404,11 @@ def expected_exact_run_counts(
     )
 
 
-def auto_truncation(chain: PosteriorChain, statistic: str, run_length: int | None = None) -> int:
-    """Truncation level for a statistic, computed from the chain alone.
+def _largest_count(n: int, statistic: str, run_length: int | None = None) -> int | None:
+    """Largest value a counting statistic takes on n positions, at least 1.
 
-    Counting statistics get the largest value any path of length n can take,
-    so their overflow is exactly 0.  longest_run gets the smallest ell whose
-    union bound P(L >= ell+1) <= sum_t s_t * prod_{j=1..ell} b_{t+j} is at
-    most OVERFLOW_TOL, where s_1 = P(y_1 = 2 | x) and s_t = 1 - a_t bound the
-    probability that a state-2 run starts at t.
+    None for longest_run, whose level auto_truncation chooses from the chain.
     """
-    n = chain.n
     if statistic == "jumps":
         return max(n // 2, 1)
     if statistic == "runs":
@@ -437,6 +421,21 @@ def auto_truncation(chain: PosteriorChain, statistic: str, run_length: int | Non
         return max((n + 1) // (run_length + 1), 1)
     if statistic != "longest_run":
         raise ValueError(f"unknown statistic {statistic!r}")
+    return None
+
+
+def auto_truncation(chain: PosteriorChain, statistic: str, run_length: int | None = None) -> int:
+    """Truncation level for a statistic, computed from the chain alone.
+
+    Counting statistics get the largest value any path of length n can take,
+    so their overflow is exactly 0.  longest_run gets the smallest ell whose
+    union bound P(L >= ell+1) <= sum_t s_t * prod_{j=1..ell} b_{t+j} is at
+    most OVERFLOW_TOL, where s_1 = P(y_1 = 2 | x) and s_t = 1 - a_t bound the
+    probability that a state-2 run starts at t.
+    """
+    top = _largest_count(chain.n, statistic, run_length)
+    if top is not None:
+        return top
     a, b = stay_probabilities(chain)
     # bound[t] = s_t * prod of the next ell stay probabilities, for the runs
     # that can still be longer than ell

@@ -12,21 +12,15 @@ def small_model():
 
 
 class TestAccuracies:
-    def test_pointwise_trivials(self):
-        s = np.array([1, 2, 2, 1])
-        assert hp.pointwise_accuracy(s, s) == 1.0
-        assert hp.pointwise_accuracy(s, 3 - s) == 0.0
-        assert hp.pointwise_accuracy([1, 2, 2, 1], [1, 2, 2, 2]) == 0.75
-
-    def test_pointwise_length_mismatch(self):
+    def test_blockwise_length_mismatch(self):
         with pytest.raises(ValueError):
-            hp.pointwise_accuracy([1, 2], [1, 2, 1])
+            hp.blockwise_accuracy([1, 2], [1, 2, 1], 1)
 
     def test_blockwise_size_one_is_pointwise(self):
         rng = np.random.default_rng(0)
         s = rng.integers(1, 3, 50)
         y = rng.integers(1, 3, 50)
-        assert hp.blockwise_accuracy(s, y, 1) == hp.pointwise_accuracy(s, y)
+        assert hp.blockwise_accuracy(s, y, 1) == np.mean(s == y)
 
     def test_blockwise_full_window(self):
         s = np.array([1, 2, 1])
@@ -99,8 +93,8 @@ class TestSweep:
         post = hp.posterior_decode(hp.posterior_marginals(tables))
         vit = hp.viterbi(model, x)
         assert curve.alphas[0] == 0.0 and curve.alphas[-1] == 1.0
-        assert curve.accuracy[0] == hp.pointwise_accuracy(post, y)
-        assert curve.accuracy[-1] == hp.pointwise_accuracy(vit, y)
+        assert curve.accuracy[0] == np.mean(post == y)
+        assert curve.accuracy[-1] == np.mean(vit == y)
         assert curve.log_joint[0] == pytest.approx(
             hp.log_joint(model, post, x), abs=1e-12
         )

@@ -135,6 +135,20 @@ class TestSpecConstruction:
                 assert np.array_equal(mine.probs, ref.probs)
                 assert mine.overflow == ref.overflow
 
+    @pytest.mark.parametrize("ell", [1, 2, 12, 120])
+    @pytest.mark.parametrize("statistic,run_length", [
+        ("jumps", None), ("runs", None), ("positions", None),
+        ("exact_run", 1), ("exact_run", 2), ("exact_run", 3),
+    ])
+    def test_entries_run_by_row(self, statistic, run_length, ell):
+        # propagate finds the entries of a window of rows by binary search
+        spec = hp.build_spec(statistic, ell, run_length)
+        rows, cols, kinds = hp.fmci._entries(spec)
+        assert (np.diff(rows) >= 0).all()
+        overflow = spec.size - 1
+        assert (rows[-1], cols[-1], kinds[-1]) == (overflow, overflow, hp.fmci._ONE)
+        assert (rows[:-1] < overflow).all()
+
     def test_longest_run_build_stays_small(self):
         # 998,992 states at the CLI's state limit; the int64 values alone
         # take 8 MB
@@ -304,6 +318,24 @@ def prefix(chain, n):
     return hp.PosteriorChain(init=chain.init, trans=chain.trans[: n - 1])
 
 
+class CountingNumpy:
+    """numpy for the fmci module, counting the entries np.multiply writes and np.bincount reads."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, x, y, out):
+        self.entries += out.size
+        return np.multiply(x, y, out=out)
+
+    def bincount(self, x, weights, minlength):
+        self.entries += x.size
+        return np.bincount(x, weights=weights, minlength=minlength)
+
+
 class TestWindowedPropagation:
     """The windowed kernel against the loop-built product over every entry, bit for bit."""
 
@@ -348,6 +380,26 @@ class TestWindowedPropagation:
         for chain in [prefix(c, n) for c in fixtures] + randoms:
             assert self.assert_bit_identical(spec, chain)[-1] == 0.0
 
+    # template lengths: four entries for jumps and positions, 2k + 4 for exact_run:k
+    @pytest.mark.parametrize("name,run_length,template", [
+        ("jumps", None, 4), ("positions", None, 4), ("exact_run", 3, 10),
+    ])
+    def test_the_window_reads_only_the_reachable_blocks(
+        self, chains, monkeypatch, name, run_length, template
+    ):
+        # a path counts at most one more per step, so the step from position t
+        # reads at most the template's entries in blocks 0..t; the whole
+        # imbedding has 4n + 1 blocks
+        fixtures, randoms = chains
+        n = 30
+        spec = hp.build_spec(name, 4 * n, run_length)
+        for chain in [prefix(c, n) for c in fixtures] + randoms:
+            counting = CountingNumpy()
+            monkeypatch.setattr(hp.fmci, "np", counting)
+            hp.propagate(spec, chain)
+            monkeypatch.undo()
+            assert counting.entries <= template * (n + 1) * (n + 2) // 2
+
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_one_and_two_positions(self, name, builder):
         spec = builder(3)
@@ -355,20 +407,6 @@ class TestWindowedPropagation:
             self.assert_bit_identical(spec, manual_chain(init, [], []))
             for stay1, stay2 in ((0.25, 0.6), (0.0, 1.0), (1.0, 0.0)):
                 self.assert_bit_identical(spec, manual_chain(init, [stay1], [stay2]))
-
-
-class CountingNumpy:
-    """numpy for the fmci module, counting the entries np.multiply writes."""
-
-    def __init__(self):
-        self.entries = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def multiply(self, x, y, out):
-        self.entries += out.size
-        return np.multiply(x, y, out=out)
 
 
 class TestDenseLongestRun:
@@ -407,6 +445,20 @@ class TestDenseLongestRun:
         monkeypatch.undo()
         assert final[spec.values == n].sum() == 1.0
         assert counting.entries <= 4 * (n + 1) * (n - 1)
+
+    def test_propagation_memory_at_the_state_limit(self):
+        # 998,992 states at the CLI's state limit: the two dense buffers take
+        # 32 MB and the final vector 8 MB
+        spec = hp.build_spec("longest_run", 1412)
+        chain = manual_chain([0.4, 0.6], [0.3, 0.8], [0.7, 0.9])
+        tracemalloc.start()
+        try:
+            final = hp.propagate(spec, chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.sum() == pytest.approx(1.0)
+        assert peak < 56e6
 
     def test_all_mass_in_the_last_block(self):
         # a run of length ell puts every path in block ell; the state-1 sums

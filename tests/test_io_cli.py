@@ -454,6 +454,34 @@ class TestCliFmci:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra,expected_levels", [
+        ([], [53]),
+        (["--statistic", "exact-run:3", "--expected-runs", "4"], [53, 27, 54, 36, 21]),
+    ])
+    def test_fixed_level_far_above_the_series_is_lowered(
+        self, tmp_path, monkeypatch, extra, expected_levels
+    ):
+        # n = 107 positions hold at most 53 jumps and (n + 1) // (k + 1) runs
+        # of exactly k; imbeddings at a level of 10^8 would take gigabytes
+        largest = {("jumps", None): 53, ("exact_run", 1): 54, ("exact_run", 2): 36,
+                   ("exact_run", 3): 27, ("exact_run", 4): 21}
+        levels = []
+
+        def spy(statistic, truncation, run_length=None, _build=fmci.build_spec):
+            assert truncation <= largest[statistic, run_length]
+            levels.append(truncation)
+            return _build(statistic, truncation, run_length)
+
+        monkeypatch.setattr(cli, "build_spec", spy)
+        monkeypatch.setattr(fmci, "build_spec", spy)
+        out = tmp_path / "out"
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--ell", "100000000", "--statistic", "jumps", *extra, "--out", out])
+        assert rc == 0
+        assert levels == expected_levels
+        rows = list(csv.reader((out / "fmci_jumps.csv").open()))
+        assert rows[-1] == [">=54", "0"]
+
 
 class TestCliSample:
     def test_samples_and_frequencies(self, tmp_path):
