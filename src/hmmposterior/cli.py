@@ -187,9 +187,9 @@ def cmd_fmci(args) -> int:
     for statistic, run_length in parsed:
         if fixed_ell is None:
             levels.append(auto_truncation(chain, statistic, run_length))
-        else:  # no counting statistic exceeds its exact level; None for longest_run
+        else:  # no counting statistic exceeds its exact level, and no run n
             top = _largest_count(x.size, statistic, run_length)
-            levels.append(fixed_ell if top is None else min(fixed_ell, top))
+            levels.append(min(fixed_ell, x.size if top is None else top))
     for (statistic, _), ell in zip(parsed, levels):
         if statistic == "longest_run":
             _check_longest_run_level(ell)

@@ -26,23 +26,64 @@ so far, followed by one absorbing overflow state.  jumps, runs and
 positions have two situations per block (in state 2, in state 1); exact_run
 with run length k has k + 2 (a run already longer than k, in state 1, and a
 run of length 1..k in progress).  One block's transitions, its template,
-describe the whole step matrix: propagate repeats each template entry (src,
-dst, kind, advance) in every block, and an entry with advance 1 counts one
-more, so it lands in the next block, or in the overflow state from the last
-block.  longest_run is the exception: its block m holds the run lengths
-1..m in progress, so its blocks grow with m, and propagate steps it on a
-dense run-length x block array instead of entries.  A spec holds only the
-state space; the step rule is propagate's.
+describe the whole step matrix: an entry (src, dst, kind, advance) moves the
+mass of situation src to dst with probability a, 1-a, b or 1-b by kind, and
+counts one more if advance is 1.  src and dst may be ranges (runs growing by
+one) or a range into one situation (runs ending).  longest_run is the
+exception: its block m holds the run lengths 1..m in progress, so its blocks
+grow with m, and propagate steps it on a dense run-length x block array
+instead (see propagate).  A spec holds only the state space; the step rule
+is propagate's.
 
-Every transition row has at most two nonzero entries drawn from
-{a, 1-a, b, 1-b, 1}, and a step reads only the window of imbedded states
-that hold mass, so propagation costs in proportion to the sum over the n
-steps of that window's width, at most O(n * size).  longest_run fills
-almost all of its (ell + 1)(ell + 2)/2 + 1 states (see propagate).
+The blocked scan.  propagate carries a counting statistic as a (count x
+situation) array v through blocks of in-block steps, not position by
+position.  It builds the transfers of a group of blocks at once, in one
+batched pass over the template per in-block step, and multiplies v by one
+block's transfer at a time, keeping only the counts that hold mass; counts
+above ell go to the overflow.  With W situations, a transfer takes one of
+two forms:
+
+  dense       M[i, j, d], the probability of going from situation i to j
+              inside the block while counting d.  Blocks have
+              L = isqrt(n - 1) steps, and d runs to the most a block can
+              count (L for positions, (L + 1) // 2 for jumps and runs,
+              (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
+              entry then holds every count from ell + 1 on.  The carry
+              v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] is one
+              block-Toeplitz matrix product.  Per block of D + 1 degrees
+              this costs O(L W^2 D) to build and O(counts W^2 D) to
+              carry.
+  count-free  exact_run with large k.  Blocks have L = min(isqrt(n - 1), k)
+              steps, so a run that starts inside a block cannot reach length
+              k there; a block counts once at most, when a carried run of
+              length k + 1 - s ends at in-block step s.  The rest of the
+              block is the count-free two-state chain: F[tau, r], the chance
+              of ending the block in state 1 (r = 0) or in a run of length
+              r given state 1 after in-block step tau, is all it needs.  The
+              carry gathers the mass that enters state 1 at each in-block
+              step, by count, into one matrix, multiplies it by F, and
+              shifts the carried runs that survive the block by L.  F costs
+              O(L^2) per block, so it is built for a group of blocks that
+              fits in 16 MB at a time, and the carry costs O(counts L^2).
+
+exact_run takes the count-free form when W = k + 2 is wider than
+_DENSE_WIDTH_MAX.  On earthquake-model series of n = 10^3 to 10^5
+(L = 31 to 316) the two forms took equal time between k = 7 and k = 10,
+with no trend in L: the dense form grows with W^2 D, about W (L + k), and
+the count-free form with the n / k blocks it carries one at a time.  jumps,
+runs and positions always take the dense form; jumps and runs share one
+template and differ only in eta.
+
+No term cancels.  Every entry of M and F, and every carried value, is a sum
+of products of probabilities; the count-free carry sums the state-2 mass
+that is not counted from prefix and suffix sums of the runs, not as a total
+minus the counted run.  So no value turns negative, and the result differs
+from the product of the n - 1 step matrices by rounding alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +101,21 @@ __all__ = [
     "auto_truncation",
 ]
 
-# coefficient kinds for sparse entries
-_A, _NA, _B, _NB, _ONE = 0, 1, 2, 3, 4
+# coefficient kinds of the block template entries
+_A, _NA, _B, _NB = 0, 1, 2, 3
+
+# most bytes of block transfers built at a time
+_GROUP_BYTES = 2**24
+
+# widest exact_run template (k + 2) that propagate carries in the dense form
+_DENSE_WIDTH_MAX = 9
 
 # largest overflow mass auto_truncation allows for longest_run
 OVERFLOW_TOL = 1e-12
 
 # most imbedded states the CLI builds for longest_run (see _longest_run_size);
 # a whole longest-run call near this size (ell = 1412, 998,992 states) took
-# about 6 s and a peak RSS of 101-104 MB on a 2-core host
+# 5.5-5.9 s and a peak RSS of 85.5 MB on a 2-core host
 _MAX_LONGEST_RUN_STATES = 10**6
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
@@ -91,8 +138,10 @@ class ImbeddingSpec:
                   designates the overflow bucket.
 
     For every statistic but longest_run, state c * width + s is situation s
-    of block c (see the module docstring); the last state is the overflow.
-    The spec stores no step matrix: propagate derives it from the statistic.
+    of block c (see the module docstring), so the states before the last,
+    the overflow, are row-major (count x situation), the array propagate
+    carries through its blocks.  The spec stores no step matrix: propagate
+    derives the block template and the block transfers from the statistic.
     """
 
     statistic: str
@@ -127,34 +176,12 @@ def _tiled(statistic, ell, width, eta_slots, run_length=None, open_run=None):
     return _freeze_spec(statistic, ell, run_length, eta_slots, values)
 
 
-def _exact_run_block(k: int) -> list[tuple[int, int, int, int]]:
+def _exact_run_block(k: int) -> tuple:
     # situation 0: the run is longer than k; 1: in state 1; 2..k+1: a run of
     # length 1..k.  Only a run that ends at exactly k counts.
-    block = [(0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 2, _NA, 0)]
-    for j in range(2, k + 1):
-        block += [(j, j + 1, _B, 0), (j, 1, _NB, 0)]
-    return block + [(k + 1, 0, _B, 0), (k + 1, 1, _NB, 1)]
-
-
-def _entries(spec: ImbeddingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step matrix of a tiled spec as (rows, cols, kinds).
-
-    Entry (rows[e], cols[e]) holds a, 1-a, b, 1-b or 1 according to
-    kinds[e].  The entries run block by block in the template's order, then
-    the overflow's self-loop.
-    """
-    if spec.statistic == "exact_run":
-        template = _exact_run_block(spec.run_length)
-    else:
-        template = _POSITIONS_BLOCK if spec.statistic == "positions" else _JUMP_BLOCK
-    src, dst, kind, advance = np.array(template, dtype=np.int64).T
-    overflow = spec.size - 1
-    width = overflow // (spec.truncation + 1)
-    base = np.arange(spec.truncation + 1, dtype=np.int64)[:, None] * width
-    rows = np.append(base + src, overflow)
-    cols = np.append(np.minimum(base + dst + advance * width, overflow), overflow)
-    kinds = np.append(np.tile(kind, spec.truncation + 1), _ONE)
-    return rows, cols, kinds
+    runs = ((slice(2, k + 1), slice(3, k + 2), _B, 0), (slice(2, k + 1), 1, _NB, 0))
+    return ((0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 2, _NA, 0),
+            *runs[: 2 * (k > 1)], (k + 1, 0, _B, 0), (k + 1, 1, _NB, 1))
 
 
 def _longest_run_size(ell: int) -> int:
@@ -251,23 +278,161 @@ def _propagate_longest_run(
     return np.append(last[1:].T[np.tri(width, dtype=bool)], overflow)
 
 
+def _block_groups(a, b, length, per_group):
+    """Consecutive blocks of `length` steps as (blocks, length) arrays of a and b.
+
+    At most per_group blocks at a time, then the shorter last block, if any.
+    """
+    full = a.size // length
+    for lo in range(0, full, per_group):
+        hi = min(lo + per_group, full)
+        yield (a[lo * length : hi * length].reshape(-1, length),
+               b[lo * length : hi * length].reshape(-1, length))
+    if a.size > full * length:
+        yield a[full * length :][None], b[full * length :][None]
+
+
+def _most_counts(statistic: str, run_length: int | None, steps: int) -> int:
+    """The most a block template counts in `steps` steps."""
+    if statistic == "positions":
+        return steps
+    if statistic == "exact_run":  # one run ends at the first step, then one every k + 1
+        return (steps + run_length) // (run_length + 1)
+    return (steps + 1) // 2  # jumps and runs: a 1 -> 2 jump at most every other step
+
+
+def _dense_transfers(template, width, tops, saturate, a, b, length):
+    """Every block's transfer M[i, j, d], d < tops[-1], one block at a time.
+
+    After in-block step s the block has counted less than tops[s - 1].  With
+    `saturate`, M[:, :, -1] holds every count from tops[-1] - 1 on.
+    """
+    degree = tops[-1] - 1
+    per_group = max(1, _GROUP_BYTES // (16 * (degree + 1) * width * width))  # m and nxt
+    eye = np.arange(width)
+    buffers = None  # one group's, reused: each transfer is carried before the next group
+    for ga, gb in _block_groups(a, b, length, per_group):
+        coef = np.stack([ga, 1.0 - ga, gb, 1.0 - gb], axis=2)[..., None, None]
+        if buffers is None:
+            buffers = np.empty((2, width, ga.shape[0], width, degree + 1))
+        # m[j, block, i, d]: from situation i to j, counting d
+        m, nxt = buffers[:, :, : ga.shape[0]]
+        m.fill(0.0)
+        nxt.fill(0.0)
+        m[eye, :, eye, 0] = 1.0
+        for step, top in enumerate(tops[: ga.shape[1]]):
+            nxt[..., :top] = 0.0
+            c = coef[:, step]
+            for src, dst, kind, advance in template:
+                terms = m[src, :, :, : top - advance]
+                if isinstance(src, slice) and not isinstance(dst, slice):
+                    terms = terms.sum(axis=0)  # a range of situations into one
+                nxt[dst, :, :, advance:top] += terms * c[:, kind]
+                if advance and saturate:  # each advancing entry moves one situation
+                    nxt[dst, :, :, degree] += m[src, :, :, degree] * c[:, kind, 0]
+            m, nxt = nxt, m
+        yield from m.transpose(1, 2, 0, 3)
+
+
+def _carry_dense(v, m):
+    """v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d], as one block-Toeplitz product.
+
+    v is cut into q chunks of P = degree + 1 counts; each chunk times the
+    Toeplitz matrix T[(i, e), (j, f)] = M[i, j, f - e] spans 2P counts, and
+    the halves of neighbouring chunks add.
+    """
+    width, p = m.shape[1], m.shape[2]
+    q = -(-v.shape[0] // p)
+    chunks = np.zeros((q * p, width))
+    chunks[: v.shape[0]] = v
+    chunks = chunks.reshape(q, p, width).transpose(0, 2, 1).reshape(q, width * p)
+    padded = np.zeros((width, width, 3 * p))
+    padded[..., p : 2 * p] = m
+    # row e of the Toeplitz matrix is padded[..., p - e : 3p - e]
+    rows = np.lib.stride_tricks.sliding_window_view(padded, 2 * p, axis=2)[:, :, p:0:-1]
+    toeplitz = rows.transpose(0, 2, 1, 3).reshape(width * p, width * 2 * p)
+    spans = (chunks @ toeplitz).reshape(q, width, 2 * p)
+    out = np.zeros((q + 1, width, p))
+    out[:q] = spans[..., :p]
+    out[1:] += spans[..., p:]
+    return out.transpose(0, 2, 1).reshape(-1, width)
+
+
+def _count_free_transfers(a, b, length):
+    """Every block's (F, beta, survive) for the count-free form, one block at a time.
+
+    F[tau, 0] is the probability of ending the block in state 1 and F[tau, r]
+    in a run of length r, given state 1 after in-block step tau; beta[s - 1]
+    is that of leaving state 2 first at in-block step s, and survive that of
+    staying in state 2 throughout.
+    """
+    per_group = max(1, _GROUP_BYTES // (8 * (length + 1) ** 2))
+    buffer = None  # one group's, reused: each transfer is carried before the next group
+    for ga, gb in _block_groups(a, b, length, per_group):
+        blocks, steps = ga.shape
+        if buffer is None:
+            buffer = np.empty((blocks, steps + 1, steps + 1))
+        stay = np.cumprod(gb, axis=1)  # stay[:, s - 1]: in state 2 through step s
+        beta = np.empty_like(gb)
+        beta[:, 0] = 1.0 - gb[:, 0]
+        beta[:, 1:] = stay[:, :-1] * (1.0 - gb[:, 1:])
+        # tail[:, r]: a run that starts at step steps - r + 1 lasts to the end
+        tail = np.ones((blocks, steps + 1))
+        tail[:, 1:] = 1.0 - ga[:, ::-1]
+        tail[:, 2:] *= np.cumprod(gb[:, :0:-1], axis=1)
+        # ones[:, tau] / twos[:, tau]: in state 1 / 2 after step sigma, given
+        # state 1 after step tau <= sigma; F[tau, r] reads it at sigma = steps - r
+        f = buffer[:blocks, : steps + 1, : steps + 1]
+        f.fill(0.0)
+        ones = np.ones((blocks, steps + 1))
+        twos = np.zeros((blocks, steps + 1))
+        f[:, 0, steps] = 1.0
+        for sigma in range(1, steps + 1):
+            at, bt = ga[:, sigma - 1, None], gb[:, sigma - 1, None]
+            o, w = ones[:, :sigma], twos[:, :sigma]
+            o, w = o * at + w * (1.0 - bt), o * (1.0 - at) + w * bt
+            ones[:, :sigma], twos[:, :sigma] = o, w
+            f[:, : sigma + 1, steps - sigma] = ones[:, : sigma + 1]
+        f *= tail[:, None, :]
+        for block in range(blocks):
+            yield f[block], beta[block], stay[block, -1]
+
+
+def _carry_count_free(v, transfer):
+    """One block of exact_run:k in the count-free form; v has situations 0..k+1."""
+    f, beta, survive = transfer
+    steps = beta.size
+    k = v.shape[1] - 2
+    runs = v[:, 2:]
+    # runs of length k - steps + 1..k can end at exactly k inside the block:
+    # the one of length k + 1 - s at step s
+    near = runs[:, k - steps :]
+    rest = v[:, 0] + runs[:, : k - steps].sum(axis=1)
+    before = np.zeros_like(near)
+    np.cumsum(near[:, :-1], axis=1, out=before[:, 1:])
+    after = np.zeros_like(near)
+    np.cumsum(near[:, :0:-1], axis=1, out=after[:, -2::-1])
+    # state 1 after step s, by the count it holds then
+    entry = np.zeros((v.shape[0] + 1, steps + 1))
+    entry[:-1, 0] = v[:, 1]
+    entry[:-1, 1:] = ((rest[:, None] + before) + after)[:, ::-1] * beta
+    entry[1:, 1:] += near[:, ::-1] * beta
+    out = np.zeros((v.shape[0] + 1, k + 2))
+    out[:, 1 : steps + 2] = entry @ f
+    out[:-1, steps + 2 :] = runs[:, : k - steps] * survive
+    out[:-1, 0] = (v[:, 0] + near.sum(axis=1)) * survive
+    return out
+
+
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
 
-    One sparse vector-matrix product per position; the result sums to one.
-    The entries of the step matrix are the block template repeated in every
-    block, then the overflow's self-loop (see _entries), so their rows never
-    decrease.  A step costs in proportion to the width of the window
-    [lo, hi] of imbedded states that hold mass, not to the size of the
-    imbedding: the entries whose row lies in the window are the slice
-    first[lo]:last[hi], with first and last binary-searched in the rows, and
-    bincount adds each bin's terms in entry order.  Rows inside the window
-    may hold exact zeros, and adding +0.0 to a sum of non-negative terms
-    leaves it unchanged, so every bin is bit-identical to the product over
-    all entries.  After a step the mass lies within [low[lo], high[hi]],
-    the suffix minimum of the columns from entry first[lo] on and their
-    prefix maximum up to entry last[hi] - 1, and zeros are trimmed off both
-    ends.
+    The result sums to one.  For jumps, runs, positions and exact_run it is
+    computed by the blocked scan of the module docstring: eta, reshaped to
+    (count x situation) and cut to the counts that hold mass, is carried
+    through one block transfer after another, dense or count-free, with the
+    mass above ell summed into the overflow and the counts that lose all
+    their mass trimmed off both ends.
 
     longest_run steps two dense buffers of shape (ell + 2, ell + 1) instead:
     row 0 is "in state 1", row r "a run of length r in progress", column m
@@ -291,29 +456,41 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     a, b = stay_probabilities(chain)
     if spec.statistic == "longest_run":
         return _propagate_longest_run(spec.truncation, chain.init, a, b)
-    v = spec.initial_vector(chain.init[0], chain.init[1])
-    rows, cols, kinds = _entries(spec)
-    size = spec.size
-    lo, hi = sorted(spec.eta_slots)
-    first, last = (np.searchsorted(rows, np.arange(size), side=s) for s in ("left", "right"))
-    low = np.minimum.accumulate(cols[::-1])[::-1][first].tolist()
-    high = np.maximum.accumulate(cols)[last - 1].tolist()
-    first, last = first.tolist(), last.tolist()
-    coef = np.empty((a.size, 5))
-    coef[:, _A] = a
-    coef[:, _NA] = 1.0 - a
-    coef[:, _B] = b
-    coef[:, _NB] = 1.0 - b
-    coef[:, _ONE] = 1.0
-    for step in coef:
-        live = slice(first[lo], last[hi])
-        v = np.bincount(cols[live], weights=v[rows[live]] * step[kinds[live]], minlength=size)
-        lo, hi = low[lo], high[hi]
-        while lo < hi and v[lo] == 0.0:
-            lo += 1
-        while hi > lo and v[hi] == 0.0:
-            hi -= 1
-    return v
+    ell, k = spec.truncation, spec.run_length
+    width = (spec.size - 1) // (ell + 1)
+    v = spec.initial_vector(chain.init[0], chain.init[1])[:-1].reshape(ell + 1, width)
+    length = max(math.isqrt(a.size), 1)
+    if k is not None and width > _DENSE_WIDTH_MAX:
+        length = min(length, k)
+        blocks = _count_free_transfers(a, b, length)
+        carry = _carry_count_free
+    else:
+        # a block that counts ell + 1 or more ends in the overflow
+        tops = [min(_most_counts(spec.statistic, k, s), ell + 1) + 1 for s in range(1, length + 1)]
+        saturate = _most_counts(spec.statistic, k, length) > ell + 1
+        if k is not None:
+            template = _exact_run_block(k)
+        else:
+            template = _POSITIONS_BLOCK if spec.statistic == "positions" else _JUMP_BLOCK
+        blocks = _dense_transfers(template, width, tops, saturate, a, b, length)
+        carry = _carry_dense
+    live = np.flatnonzero(v.any(axis=1))
+    lo, v = live[0], v[live[0] : live[-1] + 1]
+    overflow = 0.0
+    for transfer in blocks:
+        v = carry(v, transfer)
+        if v.shape[0] > ell + 1 - lo:  # counts above ell go to the overflow
+            overflow += v[ell + 1 - lo :].sum()
+            v = v[: ell + 1 - lo]
+        live = np.flatnonzero(v.any(axis=1))
+        if live.size == 0:
+            break
+        lo, v = lo + live[0], v[live[0] : live[-1] + 1]
+    final = np.zeros(spec.size)
+    if live.size:
+        final[lo * width : lo * width + v.size] = v.ravel()
+    final[-1] = overflow
+    return final
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ import numpy as np
 from scipy.stats import poisson
 
 import hmmposterior as hp
-from hmmposterior.fmci import _A, _B, _NA, _NB, _ONE
+from hmmposterior.fmci import _A, _B, _NA, _NB
 from hmmposterior.model import as_counts
 from hmmposterior.seeding import substream_seed
+
+_ONE = 4  # the overflow's self-loop
 
 
 def random_model(rng, num_states=2, rate_low=0.2, rate_high=8.0):

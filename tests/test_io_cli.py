@@ -483,6 +483,25 @@ class TestCliFmci:
         assert rows[-1] == [">=54", "0"]
 
 
+    def test_fixed_longest_run_level_above_the_series_is_lowered(self, tmp_path, monkeypatch):
+        # no run of n = 107 positions is longer than 107
+        levels = []
+
+        def spy(statistic, truncation, run_length=None, _build=fmci.build_spec):
+            levels.append(truncation)
+            return _build(statistic, truncation, run_length)
+
+        monkeypatch.setattr(cli, "build_spec", spy)
+        out = tmp_path / "out"
+        rc = run_cli(["fmci", "--model", "earthquakes", "--obs", "earthquakes",
+                      "--ell", "1412", "--statistic", "longest-run", "--out", out])
+        assert rc == 0
+        assert levels == [107]
+        rows = list(csv.reader((out / "fmci_longest_run.csv").open()))
+        assert len(rows) == 110  # header, the values 0..107, the overflow
+        assert rows[-1] == [">=108", "0"]
+
+
 class TestCliSample:
     def test_samples_and_frequencies(self, tmp_path):
         rc = run_cli(["sample", "--model", "fetal-lamb", "--obs", "fetal-lamb",
