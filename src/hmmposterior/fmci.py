@@ -184,6 +184,18 @@ def _exact_run_block(k: int) -> tuple:
             *runs[: 2 * (k > 1)], (k + 1, 0, _B, 0), (k + 1, 1, _NB, 1))
 
 
+def _block_template(statistic: str, run_length: int | None) -> tuple:
+    """The block template of jumps, runs, positions or exact_run.
+
+    Each entry (src, dst, kind, advance) moves situation src of a block to
+    situation dst of the same block (advance 0) or of the next (advance 1)
+    with the coefficient `kind`; a slice pairs a range of situations.
+    """
+    if statistic == "exact_run":
+        return _exact_run_block(run_length)
+    return _POSITIONS_BLOCK if statistic == "positions" else _JUMP_BLOCK
+
+
 def _longest_run_size(ell: int) -> int:
     # block 0 has one state, block m >= 1 has m + 1, then the overflow state
     return (ell + 1) * (ell + 2) // 2 + 1
@@ -468,10 +480,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
         # a block that counts ell + 1 or more ends in the overflow
         tops = [min(_most_counts(spec.statistic, k, s), ell + 1) + 1 for s in range(1, length + 1)]
         saturate = _most_counts(spec.statistic, k, length) > ell + 1
-        if k is not None:
-            template = _exact_run_block(k)
-        else:
-            template = _POSITIONS_BLOCK if spec.statistic == "positions" else _JUMP_BLOCK
+        template = _block_template(spec.statistic, k)
         blocks = _dense_transfers(template, width, tops, saturate, a, b, length)
         carry = _carry_dense
     live = np.flatnonzero(v.any(axis=1))

@@ -11,7 +11,7 @@ which pins the batched kernel's tie-breaking; the `reference_build_*`
 functions, one Python loop per FMCI imbedding, which pin the state space
 of `build_spec` and list every entry of its step matrix, and
 `reference_propagate`, the FMCI product over all those entries, which
-together pin the windowed propagation and the dense longest-run step;
+together pin the blocked scan and the dense longest-run step;
 `reference_simulate` and
 `reference_sample_posterior_paths`, one step per position, which pin the
 simulated and sampled paths; and the `reference_write_*` functions,

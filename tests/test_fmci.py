@@ -6,6 +6,7 @@ import pytest
 
 import hmmposterior as hp
 from oracles import (
+    _ONE,
     enumerate_posterior,
     oracle_distribution,
     random_instance,
@@ -51,6 +52,29 @@ def manual_chain(init, stay1, stay2):
 def fmci_distribution(chain, statistic, ell, run_length=None):
     spec = hp.build_spec(statistic, ell, run_length)
     return hp.aggregate(spec, hp.propagate(spec, chain))
+
+
+def tiled_entries(spec):
+    """The step matrix of a counting statistic from the block template propagate carries.
+
+    The template is tiled over the spec's ell + 1 blocks in its (count x
+    situation) layout, block by block and each block's entries by row; an
+    entry that advances past block ell goes to the overflow, which keeps its
+    mass.  Returns rows, cols and kinds as the loop builders list them.
+    """
+    ell, overflow = spec.truncation, spec.size - 1
+    situations = np.arange(overflow // (ell + 1))
+    pairs = []
+    for src, dst, kind, advance in hp.fmci._block_template(spec.statistic, spec.run_length):
+        srcs, dsts = np.broadcast_arrays(situations[src], situations[dst])
+        pairs += [(s, d, kind, advance) for s, d in zip(srcs.ravel(), dsts.ravel())]
+    entries = []
+    for c in range(ell + 1):
+        for s, d, kind, advance in sorted(pairs):
+            col = (c + advance) * situations.size + d if c + advance <= ell else overflow
+            entries.append((c * situations.size + s, col, kind))
+    entries.append((overflow, overflow, _ONE))
+    return np.array(entries, dtype=np.int64).T
 
 
 def reference_final(spec, chain):
@@ -137,6 +161,32 @@ class TestSpecConstruction:
                 ref = hp.aggregate(ref_spec, reference_propagate(ref_spec, chain))
                 np.testing.assert_allclose(mine.probs, ref.probs, rtol=0, atol=1e-12)
                 assert mine.overflow == pytest.approx(ref.overflow, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("ell", [1, 2, 12, 120])
+    @pytest.mark.parametrize("statistic,run_length", [
+        ("jumps", None), ("runs", None), ("positions", None),
+        ("exact_run", 1), ("exact_run", 2), ("exact_run", 3),
+    ])
+    def test_entries_run_by_row(self, statistic, run_length, ell):
+        # the block template, tiled row by row over the spec's blocks, is the
+        # loop-built step matrix: propagate's (count x situation) window
+        # carries the same product
+        spec = hp.build_spec(statistic, ell, run_length)
+        rows, cols, kinds = tiled_entries(spec)
+        assert (np.diff(rows) >= 0).all()
+        overflow = spec.size - 1
+        assert (rows[-1], cols[-1], kinds[-1]) == (overflow, overflow, _ONE)
+        assert (rows[:-1] < overflow).all()
+        if statistic == "positions":
+            # nothing enters the state no path reaches; the loop builder
+            # leaves it out, so every other state sits one lower there
+            assert not (cols == 0).any()
+            keep = rows > 0
+            rows, cols, kinds = rows[keep] - 1, cols[keep] - 1, kinds[keep]
+        ref = reference_build_spec(statistic, ell, run_length)
+        assert sorted(zip(rows.tolist(), cols.tolist(), kinds.tolist())) == sorted(
+            zip(ref.rows.tolist(), ref.cols.tolist(), ref.kinds.tolist())
+        )
 
     def test_longest_run_build_stays_small(self):
         # 998,992 states at the CLI's state limit; the int64 values alone
@@ -371,6 +421,36 @@ class TestWindowedPropagation:
         spec = builder(4 * n)
         for chain in [prefix(c, n) for c in fixtures] + randoms:
             assert assert_matches_reference(spec, chain)[-1] == 0.0
+
+    # template lengths: four entries for jumps and positions, 2k + 4 for exact_run:k
+    @pytest.mark.parametrize("name,run_length,template", [
+        ("jumps", None, 4), ("positions", None, 4), ("exact_run", 3, 10),
+    ])
+    def test_the_window_reads_only_the_reachable_blocks(
+        self, chains, monkeypatch, name, run_length, template
+    ):
+        # a path counts at most one more per step, so the block transfer that
+        # starts after t steps reads at most counts 0..t + 1 of the window;
+        # the whole imbedding has 4n + 1 blocks of the template's entries
+        fixtures, randoms = chains
+        n = 30
+        spec = hp.build_spec(name, 4 * n, run_length)
+        assert tiled_entries(spec).shape[1] == template * (4 * n + 1) + 1
+        length = math.isqrt(n - 1)
+        carry = hp.fmci._carry_dense
+        for chain in [prefix(c, n) for c in fixtures] + randoms:
+            windows = []
+
+            def counting_carry(v, m):
+                windows.append(v.shape[0])
+                return carry(v, m)
+
+            monkeypatch.setattr(hp.fmci, "_carry_dense", counting_carry)
+            assert_matches_reference(spec, chain)
+            monkeypatch.undo()
+            assert len(windows) == -(-(n - 1) // length)
+            for block, rows in enumerate(windows):
+                assert 1 <= rows <= block * length + 2
 
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_one_and_two_positions(self, name, builder):
