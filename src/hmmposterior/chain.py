@@ -193,8 +193,9 @@ def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarr
                 nxt[start:] += u[start:span, None, :] > rows[:, :, j, None]
             nxt = nxt.reshape(span, k * width)
             for t in range(start, span):
-                np.take(nxt[t], index, out=states[t])
+                nxt[t].take(index, out=states[t])
                 # widened before the offset: state * width overflows int8
-                index = states[t].astype(np.intp) * width + offset
+                np.multiply(states[t], width, out=index, dtype=np.intp)
+                index += offset
             np.add(states[:span].T, 1, out=block[:, lo:lo + span])
     return paths

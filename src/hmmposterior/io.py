@@ -13,6 +13,13 @@ Observation files are CSV with one non-negative integer per line and an
 optional single `count` header.  All probabilities are printed with 12
 significant digits so emitted files round-trip to the precision tests rely
 on.
+
+Tables are written a block of rows at a time: each block is one printf-style
+format over its cells (`%d` for integers and bools, `%.12g` for floats, `%s`
+for any other cell, formatted by `_cells`) rather than one join per row.
+The sampled-path CSV holds only integer labels and skips text formatting
+altogether: a block of rows becomes a byte image gathered from a table of
+each label's digits, and the image is written as it is.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _ROW_BLOCK = 256  # rows formatted per block by _write_table
+_IMAGE_BYTES = 1 << 19  # bytes per block of the write_samples_csv image
 
 
 class ParseError(ValueError):
@@ -152,15 +160,24 @@ def _write_table(path, columns: dict, footer=(), end="\r\n") -> None:
 
     Lines end in CRLF, the line ending of Python's csv module.  Cells are
     never quoted, so none may hold a comma, a quote or a line break.  Rows
-    are formatted a block at a time, so the cell strings of a long table are
-    never all alive at once.
+    are formatted a block at a time with one printf-style string, `%d` for
+    integer and bool columns, `%.12g` for float columns and `%s` over
+    `_cells` for any other; `"%.12g" % v == f"{v:.12g}"` for every float,
+    nan, infinities, -0.0 and subnormals included, so each cell follows the
+    rule of `_cells`.
     """
     n = len(next(iter(columns.values())))
+    kinds = [column.dtype.kind if isinstance(column, np.ndarray) else "O"
+             for column in columns.values()]
+    line = ",".join("%.12g" if kind == "f" else "%d" if kind in "biu" else "%s"
+                    for kind in kinds) + end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + end)
         for lo in range(0, n, _ROW_BLOCK):
-            rows = zip(*(_cells(column[lo:lo + _ROW_BLOCK]) for column in columns.values()))
-            fh.writelines(",".join(row) + end for row in rows)
+            cells = [column[lo:lo + _ROW_BLOCK].tolist() if kind in "fbiu"
+                     else _cells(column[lo:lo + _ROW_BLOCK])
+                     for kind, column in zip(kinds, columns.values())]
+            fh.write(line * len(cells[0]) % tuple(v for row in zip(*cells) for v in row))
         fh.writelines(",".join(_cells(row)) + end for row in footer)
 
 
@@ -185,14 +202,50 @@ def write_distribution_csv(path, dist: Distribution) -> None:
                  footer=[(f">={dist.truncation + 1}", dist.overflow)])
 
 
+def _label_table(lo: int, hi: int) -> np.ndarray:
+    """Cell bytes of every label lo..hi: its digits right-aligned in NULs, then a comma.
+
+    Row v - lo is the cell of label v, as a (hi - lo + 1, width + 1) uint8 array.
+    """
+    texts = [str(v).encode() for v in range(lo, hi + 1)]
+    width = max(map(len, texts))
+    table = np.zeros((len(texts), width + 1), dtype=np.uint8)
+    for row, text in zip(table, texts):
+        row[width - len(text):width] = np.frombuffer(text, dtype=np.uint8)
+    table[:, width] = ord(",")
+    return table
+
+
 def write_samples_csv(path, paths) -> None:
-    """One row per sampled path, streamed through a table of label strings."""
-    paths = np.asarray(paths)
-    labels = np.array([str(k) for k in range(int(paths.max(initial=0)) + 1)], dtype=object)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"t_{t + 1}" for t in range(paths.shape[1])) + "\r\n")
-        for row in paths:
-            fh.write(",".join(labels[row]) + "\r\n")
+    """One row per sampled path, written as a byte image a block of rows at a time.
+
+    A block's image holds each row's cells from `_label_table`, then CRLF in
+    place of the last comma.  When some label has more than one digit the
+    NUL padding is dropped by a mask of the nonzero bytes.  Labels are
+    integers of any sign; the table holds one cell per value from the
+    smallest label to the largest.
+    """
+    paths = np.ascontiguousarray(paths)
+    m, n = paths.shape
+    lo, hi = (int(paths.min()), int(paths.max())) if paths.size else (0, 0)
+    table = _label_table(lo, hi)
+    cell = table.shape[1]
+    cells = table.view(f"V{cell}").ravel()
+    # label - lo in the unsigned type of the labels' width: it wraps into
+    # 0..hi-lo for any range the label type can hold
+    unsigned = np.dtype(f"u{paths.dtype.itemsize}")
+    shift = np.array(lo, dtype=paths.dtype).view(unsigned)
+    line = n * cell + 1
+    rows = max(1, _IMAGE_BYTES // line)
+    with open(path, "wb") as fh:
+        fh.write((",".join(f"t_{t + 1}" for t in range(n)) + "\r\n").encode())
+        for first in range(0, m, rows):
+            block = paths[first:first + rows]
+            image = np.empty((block.shape[0], line), dtype=np.uint8)
+            image[:, :-1].view(cells.dtype)[...] = cells[block.view(unsigned) - shift]
+            image[:, -2] = ord("\r")
+            image[:, -1] = ord("\n")
+            fh.write(image[image != 0] if cell > 2 else image)
 
 
 def write_frequency_csv(path, frequencies, marginals) -> None:

@@ -173,6 +173,42 @@ class TestDecodeKernel:
             assert {o for kk, _, o in outcomes if kk == k} == {"decoded", "impossible"}
         assert sum(long and o == "decoded" for _, long, o in outcomes) >= 4
 
+    def test_back_tracking_block_edges(self):
+        # n - 1 runs over 0..2, perfect squares, squares + 1 and primes, so
+        # the blocks of isqrt(n - 1) slots end evenly or with a short last
+        # block.  The start and transition scores stay finite and both local
+        # tables share one finite state per position, so every sequence decodes
+        rng = np.random.default_rng(2027)
+        cases = [(n, k, num_alpha)
+                 for n in (1, 2, 3, 5, 17, 101, 6, 18, 102, 4, 8, 24, 38, 1010)
+                 for k in (1, 2, 3, 5)
+                 for num_alpha in (1, 2, 9)]
+        cases.append((300, 127, 2))
+        for n, k, num_alpha in cases:
+            alphas = np.concatenate(([1.0, 0.0], rng.integers(1, 8, size=7) / 8.0))[:num_alpha]
+            rng.shuffle(alphas)
+            tables = [rng.integers(-6, 1, size=shape) / 2.0 for shape in (k, (k, k))]
+            log_em = half_integer_table(rng, (n, k), live_rows=True)
+            log_marg = np.where(np.isneginf(log_em), -np.inf, rng.integers(-6, 1, size=(n, k)) / 2.0)
+            tables += [log_em, log_marg]
+            assert np.array_equal(_decode_paths(*tables, alphas), reference_decode(*tables, alphas)), \
+                (n, k, num_alpha)
+
+    def test_back_tracking_stays_in_place(self):
+        # the back-pointers (n, K, A) and the paths (A, n) take n*A*(K + 1)
+        # bytes; a copy of the back-pointers or an (n, A) intp index of the
+        # back-tracking would not fit beside them in the 0.5 MB
+        n, k = 100_000, 3
+        alphas = np.array([0.0, 0.3, 0.7, 1.0])
+        rng = np.random.default_rng(17)
+        log_em, log_marg = (np.log(rng.random((n, k))) for _ in range(2))
+        log_pi, log_gamma = np.log(np.full(k, 1.0 / k)), np.log(np.full((k, k), 1.0 / k))
+        paths, peak_mb = traced_peak_mb(
+            lambda: _decode_paths(log_pi, log_gamma, log_em, log_marg, alphas)
+        )
+        assert paths.shape == (alphas.size, n)
+        assert peak_mb * 1e6 < n * alphas.size * (k + 1) + 0.5e6
+
     def test_alpha_columns_do_not_mix(self):
         model = hp.model_grid([0.8], [5])[0]
         _, x = hp.simulate(model, 20_000, seed=3)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -178,13 +179,35 @@ def _writer_cases():
             paths[0, 0] = k
             cases.append((f"samples K={k} n={n}", (io.write_samples_csv, paths),
                           (oracles.reference_write_samples_csv, paths)))
-    for k in (2, 3, 127):
-        # every path starts in state K, so K is written (127 is the int8 maximum)
+    for k, n in ((2, 40), (3, 40), (127, 40), (128, 40), (1000, 3)):
+        # every path starts in state K, so K is written (127 is the int8
+        # maximum; 128 and 1000 come back as int16)
         init = np.eye(k)[-1]
-        chain = hp.PosteriorChain(init=init, trans=np.full((39, k, k), 1.0 / k))
+        chain = hp.PosteriorChain(init=init, trans=np.full((n - 1, k, k), 1.0 / k))
         paths = hp.sample_posterior_paths(chain, 3, seed=k)
-        cases.append((f"sampled int8 K={k}", (io.write_samples_csv, paths),
+        cases.append((f"sampled {paths.dtype} K={k}", (io.write_samples_csv, paths),
                       (oracles.reference_write_samples_csv, paths)))
+    for name, paths in (("negative", np.array([[1, -1, 2], [2, 0, 1]])),
+                        ("int8 extremes", np.array([[-128, 127, 0], [5, -5, 1]], dtype=np.int8)),
+                        ("mixed widths", np.array([[1, 9, 10, 99, 100]] * 2))):
+        cases.append((f"samples {name}", (io.write_samples_csv, paths),
+                      (oracles.reference_write_samples_csv, paths)))
+    for k in (3, 100):
+        # more rows than one block of the byte image holds, without and
+        # with the mask that drops the padding of narrower labels
+        n = 500
+        m = 2 * io._IMAGE_BYTES // (n * (len(str(k)) + 1) + 1) + 1
+        paths = rng.integers(1, k + 1, size=(m, n)).astype(np.int8)
+        cases.append((f"samples K={k} over blocks", (io.write_samples_csv, paths),
+                      (oracles.reference_write_samples_csv, paths)))
+    for n in (io._ROW_BLOCK - 1, io._ROW_BLOCK, io._ROW_BLOCK + 1):
+        values = np.resize(edge, n)
+        labels = np.resize(states, n)
+        cases.append((f"decode n={n}", (io.write_decode_csv, np.arange(n), labels, labels, labels, values),
+                      (oracles.reference_write_decode_csv, np.arange(n), labels, labels, labels, values)))
+        many = (rows * n)[:n]
+        cases.append((f"blockwise n={n}", (io.write_blockwise_csv, many),
+                      (oracles.reference_write_blockwise_csv, many)))
     return cases
 
 
@@ -197,6 +220,20 @@ def test_writers_match_the_csv_writer_reference(tmp_path):
         if got.read_bytes() != want.read_bytes():
             mismatched.append(name)
     assert mismatched == []
+
+
+def test_samples_writer_memory_is_a_block(tmp_path):
+    # 200 paths of 2*10^4 int8 labels take 4 MB, their whole byte image
+    # 8 MB and an intp index of them 32 MB; the writer holds one block of
+    # the image at a time
+    paths = np.random.default_rng(3).integers(1, 4, size=(200, 20_000)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        io.write_samples_csv(tmp_path / "samples.csv", paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_readme_library_block_runs(monkeypatch):
