@@ -30,10 +30,9 @@ describe the whole step matrix: an entry (src, dst, kind, advance) moves the
 mass of situation src to dst with probability a, 1-a, b or 1-b by kind, and
 counts one more if advance is 1.  src and dst may be ranges (runs growing by
 one) or a range into one situation (runs ending).  longest_run is the
-exception: its block m holds the run lengths 1..m in progress, so its blocks
-grow with m, and propagate steps it on a dense run-length x block array
-instead (see propagate).  A spec holds only the state space; the step rule
-is propagate's.
+exception: its spec has one state per value 0..ell and then the overflow,
+and propagate computes it by the longest-run scan below, not from a
+template.  A spec holds only the state space; the step rule is propagate's.
 
 The blocked scan.  propagate carries a counting statistic as a (count x
 situation) array v through blocks of in-block steps, not position by
@@ -53,18 +52,21 @@ two forms:
               block-Toeplitz matrix product.  Per block of D + 1 degrees
               this costs O(L W^2 D) to build and O(counts W^2 D) to
               carry.
-  count-free  exact_run with large k.  Blocks have L = min(isqrt(n - 1), k)
-              steps, so a run that starts inside a block cannot reach length
-              k there; a block counts once at most, when a carried run of
-              length k + 1 - s ends at in-block step s.  The rest of the
-              block is the count-free two-state chain: F[tau, r], the chance
-              of ending the block in state 1 (r = 0) or in a run of length
-              r given state 1 after in-block step tau, is all it needs.  The
-              carry gathers the mass that enters state 1 at each in-block
-              step, by count, into one matrix, multiplies it by F, and
-              shifts the carried runs that survive the block by L.  F costs
+  count-free  exact_run with large k.  Blocks have
+              L = min(isqrt(n - 1), k, 127) steps, so a run that starts
+              inside a block cannot reach length k there; a block counts
+              once at most, when a carried run of length k + 1 - s ends at
+              in-block step s.  The rest of the block is the count-free
+              two-state chain: F[tau, r], the chance of ending the block in
+              state 1 (r = 0) or in a run of length r given state 1 after
+              in-block step tau, is all it needs.  The carry gathers the
+              mass that enters state 1 at each in-block step, by count, into
+              one matrix, multiplies it by F, and shifts the carried runs
+              that survive the block by L.  F costs
               O(L^2) per block, so it is built for a group of blocks that
-              fits in 16 MB at a time, and the carry costs O(counts L^2).
+              fits in 1 MB at a time, at least 8 of them (hence L <= 127, as
+              the build loops once per in-block step for each group), and
+              the carry costs O(counts L^2).
 
 exact_run takes the count-free form when W = k + 2 is wider than
 _DENSE_WIDTH_MAX.  On earthquake-model series of n = 10^3 to 10^5
@@ -74,11 +76,47 @@ the count-free form with the n / k blocks it carries one at a time.  jumps,
 runs and positions always take the dense form; jumps and runs share one
 template and differ only in eta.
 
+The longest-run scan.  P(L <= m) is the mass of the paths whose runs never
+pass m.  The scan follows that mass for every level m = 0..ell at once:
+u[m] in state 1, V[m, j] in a run of length m - j, and K[m], the mass
+removed when a run reaches m + 1, so that P(L <= m) = u[m] + sum_j V[m, j]
+and K[m] = P(L > m).  The levels fall into tiers by the block length d = 6:
+
+  dense       the levels m < d, each as an (m + 2)-state chain (state 1,
+              runs 1..m, removed) on blocks of d steps; the transfers of all
+              these levels form one block-diagonal matrix per block, built a
+              group of blocks at a time.
+  count-free  the levels [d, 4d) on blocks of d steps, [4d, 16d) on blocks
+              of 4d, and so on, with blocks no longer than exact_run's
+              count-free ones, 127 steps.  No run that starts inside a block
+              of L <= m steps passes m there, so every level of a tier shares
+              exact_run's count-free transfer (F, beta and the in-block stay
+              products stay[s - 1]).  The carried run of length m - j,
+              j < L, leaves the level at in-block step j + 1 if it stays:
+              K[m] += sum_{j<L} V[m, j] stay[j].  One GEMM of the entry rows
+              (u[m], beta[s - 1] sum_{j >= s-1} V[m, j]) by F gives the new
+              u and the runs of length 1..L that start in the block, and the
+              runs that survive it shift by L in place.
+
+Each tier is carried through its own blocks, so the scan makes about
+2.3 n / d block carries (n / d for the dense levels, then n / d, n / 4d, ...)
+instead of n - 1 steps.  The tier of the levels [T, 4T) on blocks of L steps
+costs O(L^2) per block to build F, O(T L^2) to carry and O(T^2) to shift,
+so O(n T (L + T / L)) over the series, most of it in the top tier.  On the
+earthquake series of n = 10^4 (ell = 98-137), propagate took 0.10 s on a
+2-core host, and 0.5 s with a run of 1300 counts of 30 in it (ell = 1319).  Levels above n keep all their mass, since no run is longer than
+n.  P(L = m) is a difference of neighbouring cumulatives, of P(L <= .) where
+it is below 1/2 and of K above, clamped at 0, and the overflow is K[ell],
+summed directly.
+
 No term cancels.  Every entry of M and F, and every carried value, is a sum
 of products of probabilities; the count-free carry sums the state-2 mass
 that is not counted from prefix and suffix sums of the runs, not as a total
 minus the counted run.  So no value turns negative, and the result differs
-from the product of the n - 1 step matrices by rounding alone.
+from the product of the n - 1 step matrices by rounding alone.  The one
+subtraction is longest_run's last step, between neighbouring cumulatives
+that are each accurate to rounding; on an earthquake series of n = 3000 its
+result was within 2.1e-15 of an extended-precision recurrence.
 """
 
 from __future__ import annotations
@@ -105,17 +143,28 @@ __all__ = [
 _A, _NA, _B, _NB = 0, 1, 2, 3
 
 # most bytes of block transfers built at a time
-_GROUP_BYTES = 2**24
+_GROUP_BYTES = 2**20
+
+# longest count-free block of exact_run: a group holds at least 8 of its
+# (L + 1)^2 response matrices, since the build loops once per in-block step
+# for each group
+_COUNT_FREE_STEPS = math.isqrt(_GROUP_BYTES // 64) - 1
 
 # widest exact_run template (k + 2) that propagate carries in the dense form
 _DENSE_WIDTH_MAX = 9
 
+# block length of longest_run's lowest tier of levels; each tier above has
+# blocks four times longer
+_LONGEST_RUN_BLOCK = 6
+
 # largest overflow mass auto_truncation allows for longest_run
 OVERFLOW_TOL = 1e-12
 
-# most imbedded states the CLI builds for longest_run (see _longest_run_size);
-# a whole longest-run call near this size (ell = 1412, 998,992 states) took
-# 5.5-5.9 s and a peak RSS of 85.5 MB on a 2-core host
+# largest _longest_run_size the CLI accepts: it keeps the level at 1412 or
+# below, and with it the scan's run-length arrays, which grow as the square
+# of the level.  At ell = 1412, on 1413 counts that keep mass at every level,
+# they take 13 MB, and propagate peaks at 16 MB and takes 0.1 s on a 2-core
+# host
 _MAX_LONGEST_RUN_STATES = 10**6
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
@@ -137,11 +186,12 @@ class ImbeddingSpec:
     values      : statistic value of each imbedded state; truncation + 1
                   designates the overflow bucket.
 
-    For every statistic but longest_run, state c * width + s is situation s
-    of block c (see the module docstring), so the states before the last,
-    the overflow, are row-major (count x situation), the array propagate
-    carries through its blocks.  The spec stores no step matrix: propagate
-    derives the block template and the block transfers from the statistic.
+    For jumps, runs, positions and exact_run, state c * width + s is
+    situation s of block c (see the module docstring), so the states before
+    the last, the overflow, are row-major (count x situation), the array
+    propagate carries through its blocks; for longest_run, state m is the
+    value m.  The spec stores no step matrix: propagate derives the block
+    template and the block transfers from the statistic.
     """
 
     statistic: str
@@ -197,22 +247,10 @@ def _block_template(statistic: str, run_length: int | None) -> tuple:
 
 
 def _longest_run_size(ell: int) -> int:
-    # block 0 has one state, block m >= 1 has m + 1, then the overflow state
+    # the states of the loop-built imbedding (block m holds state 1 and the
+    # runs 1..m, then the overflow), which grow with the level as the scan's
+    # run-length arrays do; the spec itself has ell + 2 states
     return (ell + 1) * (ell + 2) // 2 + 1
-
-
-def _longest_run_spec(ell: int) -> ImbeddingSpec:
-    """Imbedding for the longest state-2 run.
-
-    Block m means "longest run so far is m".  Block 0 is the single state
-    "never entered state 2"; block m >= 1 holds the in-progress run lengths
-    1..m followed by an in-state-1 state.  A run reaching length m+1 enters
-    block m+1 (or the overflow state beyond the truncation); shorter runs
-    move within their block.
-    """
-    blocks = np.arange(ell + 1, dtype=np.int64)
-    values = np.append(np.repeat(blocks, blocks + 1), ell + 1)
-    return _freeze_spec("longest_run", ell, None, (0, 1), values)
 
 
 def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
@@ -225,8 +263,8 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
         return _tiled(statistic, truncation, 2, eta_slots)
     if statistic == "positions":
         return _tiled(statistic, truncation, 2, (1, 2))
-    if statistic == "longest_run":
-        return _longest_run_spec(truncation)
+    if statistic == "longest_run":  # one state per value, then the overflow
+        return _tiled(statistic, truncation, 1, (0, 1))
     if statistic == "exact_run":
         if run_length is None:
             raise ValueError("exact_run requires run_length")
@@ -235,59 +273,6 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
         k = run_length
         return _tiled(statistic, truncation, k + 2, (1, 2), k, k + 1)
     raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def _propagate_longest_run(
-    ell: int, init: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """propagate for longest_run, stepped on the dense layout its docstring gives."""
-    width, diag = ell + 1, ell + 2  # diag: the flat stride of diagonals
-    dense = np.zeros((2, ell + 2, width))  # the state after an even / odd step
-    # the spec's eta slots: block 0 (in state 1) and block 1's run of length 1;
-    # the overflow stays outside the dense buffers
-    dense[0, 0, 0], dense[0, 1, 1] = init
-    overflow = 0.0
-
-    def views(buf, lo, hi):
-        # read: rows 0..hi of blocks lo..hi; written: rows 0..hi+1 of them,
-        # the records (m + 1, m) of blocks lo..hi, and the diagonal entries
-        # (m + 1, m + 1) of the records that stay below the overflow
-        live, flat = buf[: hi + 2, lo : hi + 1], buf.reshape(-1)
-        records = flat[lo * diag + width : hi * diag + width + 1 : diag]
-        top = min(hi, ell - 1) - lo + 1
-        targets = flat[(lo + 1) * diag :: diag][:top]
-        return (live[0], live[1 : hi + 1]), (
-            live[0], live[1], live[2:], live[1:], records, records[:top], targets
-        )
-
-    lo, hi = 0, 1  # the live blocks; at least two, or the reduce may sum pairwise
-    window = [views(buf, lo, hi) for buf in dense]
-    for step, (at, nat, bt, nbt) in enumerate(zip(a, 1.0 - a, b, 1.0 - b)):
-        row0, rest = window[step & 1][0]
-        state1, row1, below, summed, records, moved, targets = window[~step & 1][1]
-        np.multiply(row0, at, out=row1)
-        np.multiply(rest, nbt, out=below)
-        np.add.reduce(summed, axis=0, out=state1)
-        np.multiply(row0, nat, out=row1)
-        np.multiply(rest, bt, out=below)
-        np.add(targets, moved, out=targets)  # each record up one block
-        if hi == ell:
-            overflow = overflow + records[-1]
-        records.fill(0.0)
-        stepped = (lo, hi)
-        if hi < ell and targets[-1] != 0.0:
-            hi += 1
-        nxt = dense[~step & 1]
-        while lo < hi - 1 and nxt[0, lo] == 0.0 and not nxt[1 : lo + 1, lo].any():
-            dense[step & 1][: lo + 1, lo] = 0.0  # left from the step before
-            lo += 1
-        if (lo, hi) != stepped:
-            window = [views(buf, lo, hi) for buf in dense]
-    # block m of the spec is rows 1..m of column m, then row 0: copy row 0
-    # onto the records (m + 1, m) and read the triangle block by block
-    last = dense[a.size & 1]
-    np.fill_diagonal(last[1:], last[0])
-    return np.append(last[1:].T[np.tri(width, dtype=bool)], overflow)
 
 
 def _block_groups(a, b, length, per_group):
@@ -371,12 +356,12 @@ def _carry_dense(v, m):
 
 
 def _count_free_transfers(a, b, length):
-    """Every block's (F, beta, survive) for the count-free form, one block at a time.
+    """Every block's (F, beta, stay) for the count-free form, one block at a time.
 
     F[tau, 0] is the probability of ending the block in state 1 and F[tau, r]
     in a run of length r, given state 1 after in-block step tau; beta[s - 1]
-    is that of leaving state 2 first at in-block step s, and survive that of
-    staying in state 2 throughout.
+    is that of leaving state 2 first at in-block step s, and stay[s - 1] that
+    of staying in state 2 through in-block step s.
     """
     per_group = max(1, _GROUP_BYTES // (8 * (length + 1) ** 2))
     buffer = None  # one group's, reused: each transfer is carried before the next group
@@ -407,13 +392,13 @@ def _count_free_transfers(a, b, length):
             f[:, : sigma + 1, steps - sigma] = ones[:, : sigma + 1]
         f *= tail[:, None, :]
         for block in range(blocks):
-            yield f[block], beta[block], stay[block, -1]
+            yield f[block], beta[block], stay[block]
 
 
 def _carry_count_free(v, transfer):
     """One block of exact_run:k in the count-free form; v has situations 0..k+1."""
-    f, beta, survive = transfer
-    steps = beta.size
+    f, beta, stay = transfer
+    steps, survive = beta.size, stay[-1]
     k = v.shape[1] - 2
     runs = v[:, 2:]
     # runs of length k - steps + 1..k can end at exactly k inside the block:
@@ -436,6 +421,107 @@ def _carry_count_free(v, transfer):
     return out
 
 
+def _scan_low_levels(levels, init, a, b, length):
+    """(kept, removed) of the levels m < `levels`, carried by dense block transfers.
+
+    Level m has m + 2 states from offset m (m + 3) / 2: in state 1, in a
+    run of length 1..m, and removed, once a run reaches m + 1.  The transfers
+    of every level form one block-diagonal matrix, built a group of blocks
+    at a time.
+    """
+    offsets = [m * (m + 3) // 2 for m in range(levels + 1)]
+    size = offsets[-1]
+    x = np.zeros(size)
+    for o in offsets[:-1]:
+        x[o], x[o + 1] = init  # level 0's run of length 1 is removed at once
+    per_group = max(1, _GROUP_BYTES // (8 * size * size))
+    buffer = None  # one group's, reused: each transfer is carried before the next group
+    for ga, gb in _block_groups(a, b, length, per_group):
+        if buffer is None:
+            buffer = np.empty((ga.shape[0], size, size))
+        t = buffer[: ga.shape[0]]
+        t.fill(0.0)
+        for m, o in enumerate(offsets[:-1]):
+            z = t[:, o : o + m + 2, o : o + m + 2]  # z[block, from, to]
+            z[:, range(m + 2), range(m + 2)] = 1.0
+            for step in range(ga.shape[1]):
+                at, bt = ga[:, step, None], gb[:, step, None]
+                if m == 0:  # a run of length 1 already passes level 0
+                    z[..., 1] += z[..., 0] * (1.0 - at)
+                    z[..., 0] *= at
+                    continue
+                z[..., m + 1] += z[..., m] * bt
+                ends = z[..., 1 : m + 1].sum(axis=2) * (1.0 - bt)
+                z[..., 2 : m + 1] = z[..., 1:m] * bt[..., None]
+                z[..., 1] = z[..., 0] * (1.0 - at)
+                z[..., 0] = z[..., 0] * at + ends
+        for transfer in t:
+            x = np.matmul(x, transfer)
+    kept = np.array([x[o : o + m + 1].sum() for m, o in enumerate(offsets[:-1])])
+    return kept, x[np.array(offsets[1:]) - 1]
+
+
+def _scan_levels(lo, hi, init, a, b):
+    """(kept, removed) of the levels lo..hi-1, carried in the count-free form.
+
+    Blocks have at most lo steps, so no run that starts inside a block
+    passes any of these levels there.  runs[j, i] holds the mass of level lo + i in a run
+    of length lo + i - j, which that level removes after j + 1 more steps in
+    state 2: in-block step j + 1 takes it out for j below the block length,
+    and a block shifts the runs that survive it by its length.  The runs that
+    start inside the block land on the diagonals runs[lo + i - r, i].
+    """
+    levels, width = hi - lo, hi - 1
+    runs = np.zeros((width, levels))
+    flat, item = runs.reshape(-1), runs.itemsize
+
+    def started(steps):  # started(steps)[c, i] is runs[lo + i - (steps - c), i]
+        return np.lib.stride_tricks.as_strided(
+            flat[(lo - steps) * levels :], (steps, levels), (levels * item, (levels + 1) * item)
+        )
+
+    started(1)[0] = init[1]
+    state1 = np.full(levels, init[0])
+    removed = np.zeros(levels)
+    for f, beta, stay in _count_free_transfers(a, b, min(lo, _COUNT_FREE_STEPS)):
+        steps = beta.size
+        near = runs[:steps]
+        removed += stay @ near
+        # state 1 after in-block step s: the runs that leave state 2 then,
+        # those not yet removed (j >= s - 1), summed without a difference
+        entry = np.empty((steps + 1, levels))
+        entry[0] = state1
+        entry[1:] = np.cumsum(near[::-1], axis=0)[::-1]
+        entry[1:] += runs[steps:].sum(axis=0)
+        entry[1:] *= beta[:, None]
+        out = np.matmul(f.T, entry)  # in state 1 (row 0) or a run of length r (row r)
+        state1 = out[0]
+        # shift in place, one block length at a time; of the top rows that
+        # keep their values, those at or above a level are zero, and the
+        # runs that started in the block overwrite the rest
+        for c in range(0, width - steps, steps):
+            e = min(c + steps, width - steps)
+            np.multiply(runs[c + steps : e + steps], stay[-1], out=runs[c:e])
+        started(steps)[:] = out[steps:0:-1]
+    return state1 + runs.sum(axis=0), removed
+
+
+def _propagate_longest_run(ell, init, a, b):
+    """P(L = m) for m = 0..ell, then P(L > ell), by the tiers of the module docstring."""
+    top = min(ell, a.size + 1)  # no run is longer than n: the levels above keep all the mass
+    kept, removed = np.ones(ell + 1), np.zeros(ell + 1)
+    lo = min(_LONGEST_RUN_BLOCK, top + 1)
+    kept[:lo], removed[:lo] = _scan_low_levels(lo, init, a, b, _LONGEST_RUN_BLOCK)
+    while lo <= top:
+        hi = min(4 * lo, top + 1)
+        kept[lo:hi], removed[lo:hi] = _scan_levels(lo, hi, init, a, b)
+        lo *= 4
+    # a difference of the smaller neighbouring cumulatives: of P(L <= m)
+    # below 1/2, of the removed mass P(L > m) above
+    probs = np.where(kept < 0.5, np.diff(kept, prepend=0.0), -np.diff(removed, prepend=1.0))
+    return np.append(np.maximum(probs, 0.0), removed[-1])
+
+
 def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
 
@@ -446,24 +532,12 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     mass above ell summed into the overflow and the counts that lose all
     their mass trimmed off both ends.
 
-    longest_run steps two dense buffers of shape (ell + 2, ell + 1) instead:
-    row 0 is "in state 1", row r "a run of length r in progress", column m
-    the block "longest run so far is m", and entries with r > m are zero.
-    One step multiplies row 0 by a and the rows below by 1 - b, and adds
-    them down each column with np.add.reduce(axis=0) into the new row 0; it
-    multiplies row 0 by 1 - a into row 1 and each row r by b into row r + 1;
-    then it moves each record, block m's run of length m + 1, from (m + 1, m)
-    to (m + 1, m + 1), or from block ell into the overflow.  The reduce adds
-    the rows in order, so each state-1 sum is ((T0 a + T1 (1-b)) + T2 (1-b))
-    + ..., the order of the loop-built entries (block by block, each block's
-    state 1 first, then its runs), and every other state has at most two
-    terms, which add alike in either order: the result is bit-identical to
-    the product over those entries.  A window of at least two columns keeps
-    numpy from summing a single column pairwise.  The window spans the live
-    blocks: it grows by one block with each nonzero record and drops
-    emptied blocks from the left.  The layout follows from ell alone: eta
-    starts at (0, 0) and (1, 1), the spec's eta slots, and the final vector
-    reads block m as rows 1..m of column m, then row 0.
+    For longest_run it is (P(L = 0), ..., P(L = ell), P(L > ell)), from the
+    longest-run scan of the module docstring: each tier of levels is carried
+    through its own blocks, and the final vector takes the differences of
+    the cumulatives P(L <= m) and K[m] that the tiers end with.  It is
+    within rounding of the product over the loop-built imbedding's entries,
+    not bit-identical to it.
     """
     a, b = stay_probabilities(chain)
     if spec.statistic == "longest_run":
@@ -473,7 +547,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     v = spec.initial_vector(chain.init[0], chain.init[1])[:-1].reshape(ell + 1, width)
     length = max(math.isqrt(a.size), 1)
     if k is not None and width > _DENSE_WIDTH_MAX:
-        length = min(length, k)
+        length = min(length, k, _COUNT_FREE_STEPS)
         blocks = _count_free_transfers(a, b, length)
         carry = _carry_count_free
     else:

@@ -8,10 +8,13 @@ The exceptions are plain loops that pin a fast kernel:
 which pins the blocked scan to within 1e-12; and, bit for bit,
 `reference_decode`, the decoding recursion one alpha and one step at a time,
 which pins the batched kernel's tie-breaking; the `reference_build_*`
-functions, one Python loop per FMCI imbedding, which pin the state space
-of `build_spec` and list every entry of its step matrix, and
+functions, one Python loop per FMCI imbedding, which list every entry of
+its step matrix and pin the state space of `build_spec` for the counting
+statistics, and
 `reference_propagate`, the FMCI product over all those entries, which
-together pin the blocked scan and the dense longest-run step;
+together pin the blocked scans of every statistic; `reference_longest_run`,
+the longest-run recurrence one step at a time in extended precision, which
+bounds the rounding error of the longest-run scan;
 `reference_simulate` and
 `reference_sample_posterior_paths`, one step per position, which pin the
 simulated and sampled paths; and the `reference_write_*` functions,
@@ -292,6 +295,35 @@ def reference_propagate(spec, chain) -> np.ndarray:
         coef[_NB] = 1.0 - b[t]
         v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
     return v
+
+
+def reference_longest_run(chain, truncation: int) -> np.ndarray:
+    """P(L = m) for m = 0..truncation, then P(L > truncation), one step at a time in np.longdouble.
+
+    Every level m carries the mass whose runs never passed m: state1[m] in
+    state 1 and runs[m, r] in a run of length r, while removed[m] sums the
+    mass of the runs that reach m + 1.  P(L <= m) is state1[m] plus the row
+    sum of runs, and the distribution is its differences, taken in extended
+    precision.
+    """
+    a, b = hp.stay_probabilities(chain)
+    ell, ld = truncation, np.longdouble
+    state1 = np.full(ell + 1, chain.init[0], dtype=ld)
+    runs = np.zeros((ell + 1, ell + 2), dtype=ld)
+    removed = np.zeros(ell + 1, dtype=ld)
+    passed = np.arange(ell + 1), np.arange(1, ell + 2)  # level m's run of length m + 1
+    runs[1:, 1] = chain.init[1]
+    removed[0] = chain.init[1]  # a run of length 1 passes level 0
+    for t in range(a.size):
+        at, bt = ld(a[t]), ld(b[t])
+        ends = runs.sum(axis=1) * (1 - bt)
+        runs[:, 2:] = runs[:, 1:-1] * bt
+        runs[:, 1] = state1 * (1 - at)
+        state1 = state1 * at + ends
+        removed += runs[passed]
+        runs[passed] = 0.0
+    cumulative = state1 + runs.sum(axis=1)
+    return np.append(np.diff(cumulative, prepend=ld(0.0)), removed[-1])
 
 
 @dataclass(frozen=True)

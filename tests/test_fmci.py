@@ -12,6 +12,7 @@ from oracles import (
     random_instance,
     reference_build_positions_chain,
     reference_build_spec,
+    reference_longest_run,
     reference_propagate,
     statistic_value,
     total_variation,
@@ -79,9 +80,11 @@ def tiled_entries(spec):
 
 def reference_final(spec, chain):
     """reference_propagate on the loop-built imbedding of spec's statistic, in spec's layout."""
-    final = reference_propagate(
-        reference_build_spec(spec.statistic, spec.truncation, spec.run_length), chain
-    )
+    ref = reference_build_spec(spec.statistic, spec.truncation, spec.run_length)
+    final = reference_propagate(ref, chain)
+    if spec.statistic == "longest_run":
+        # one state per value: the loop builder's blocks, summed
+        return np.bincount(ref.values, weights=final, minlength=spec.size)
     if spec.statistic == "positions":
         # build_spec's positions starts with a state no path reaches (no
         # position counted, in state 2); the loop builder leaves it out
@@ -94,8 +97,8 @@ class TestSpecConstruction:
         assert hp.build_spec("jumps", 7).size == 2 * 7 + 3
         assert hp.build_spec("positions", 7).size == 2 * 7 + 3
         assert hp.build_spec("exact_run", 7, 3).size == (7 + 1) * (3 + 2) + 1
-        # blocks of sizes 1, 2, ..., ell+1 plus the absorbing overflow state
-        assert hp.build_spec("longest_run", 7).size == (7 + 1) * (7 + 2) // 2 + 1
+        # one state per value 0..ell plus the overflow
+        assert hp.build_spec("longest_run", 7).size == 7 + 2
 
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_rows_stochastic_on_grid(self, name, builder):
@@ -136,7 +139,7 @@ class TestSpecConstruction:
         for init in ([0.3, 0.7], [1.0, 0.0], [0.0, 1.0]):
             chains.append(manual_chain(init, [], []))
             chains += [manual_chain(init, [s1], [s2]) for s1, s2 in ((0.25, 0.6), (0.0, 1.0))]
-        statistics = [("jumps", None), ("runs", None), ("longest_run", None)]
+        statistics = [("jumps", None), ("runs", None)]
         statistics += [("exact_run", k) for k in (1, 2, 3, 7)]
         for ell in (1, 2, 7, 37, 60, 300):
             for statistic, run_length in statistics:
@@ -148,10 +151,16 @@ class TestSpecConstruction:
                 assert np.array_equal(mine.values, ref.values)
                 for chain in chains:
                     final, expected = hp.propagate(mine, chain), reference_propagate(ref, chain)
-                    if statistic == "longest_run":
-                        assert np.array_equal(final, expected)
-                    else:
-                        np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
+            # longest_run has one state per value, the loop builder a block of
+            # run lengths per value: their distributions must agree
+            ref_spec = reference_build_spec("longest_run", ell)
+            for chain in chains:
+                mine = fmci_distribution(chain, "longest_run", ell)
+                ref = hp.aggregate(ref_spec, reference_propagate(ref_spec, chain))
+                np.testing.assert_allclose(mine.probs, ref.probs, rtol=0, atol=1e-12)
+                assert mine.overflow == pytest.approx(ref.overflow, rel=0, abs=1e-12)
+                assert mine.probs.min() >= 0.0 and mine.overflow >= 0.0
         # positions gains a state that never holds mass, so its arrays differ
         # from the reference's; its distributions must not
         for chain in chains:
@@ -189,8 +198,7 @@ class TestSpecConstruction:
         )
 
     def test_longest_run_build_stays_small(self):
-        # 998,992 states at the CLI's state limit; the int64 values alone
-        # take 8 MB
+        # the CLI's largest level: 1414 states, one per value plus the overflow
         tracemalloc.start()
         try:
             hp.build_spec("longest_run", 1412)
@@ -358,23 +366,17 @@ def prefix(chain, n):
 
 
 class CountingNumpy:
-    """numpy for the fmci module, counting the entries np.multiply writes."""
+    """numpy for the fmci module, counting the np.matmul calls that carry a block."""
 
     def __init__(self):
-        self.entries = 0
+        self.carries = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def multiply(self, x, y, out):
-        self.entries += out.size
-        return np.multiply(x, y, out=out)
-
-
-def assert_bit_identical(spec, chain):
-    final = hp.propagate(spec, chain)
-    assert np.array_equal(final, reference_final(spec, chain))
-    return final
+    def matmul(self, x, y):
+        self.carries += 1
+        return np.matmul(x, y)
 
 
 def assert_matches_reference(spec, chain):
@@ -503,13 +505,47 @@ class TestBlockedScan:
                     if ell == exact:
                         assert final[-1] == 0.0
 
+    def test_exact_run_in_count_free_blocks_shorter_than_the_root(self, monkeypatch):
+        # count-free blocks are at most _COUNT_FREE_STEPS long, shorter than
+        # isqrt(n - 1) from n = 128^2 + 1 on; shorten them here instead
+        monkeypatch.setattr(hp.fmci, "_COUNT_FREE_STEPS", 4)
+        n = 107
+        for k in (hp.fmci._DENSE_WIDTH_MAX - 1, 12, 40):
+            for chain in degenerate_chains(n):
+                exact = hp.auto_truncation(chain, "exact_run", k)
+                for ell in sorted({1, exact}):
+                    final = assert_matches_reference(hp.build_spec("exact_run", ell, k), chain)
+                    if ell == exact:
+                        assert final[-1] == 0.0
+
+    # n - 1 steps that fill the blocks of each longest-run tier (6, 24 and
+    # 96 steps) or leave a ragged last block, at the levels around the tier
+    # edges d, 4d and 16d
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 97, 98, 103])
+    def test_longest_run_around_the_tier_edges(self, n):
+        d = hp.fmci._LONGEST_RUN_BLOCK
+        edges = {d - 1, d, d + 1, 4 * d - 1, 4 * d, 16 * d - 1, 16 * d, 16 * d + 1}
+        for chain in degenerate_chains(n):
+            for ell in sorted(({1, n - 1, n, n + 1} | edges) - {0}):
+                assert_matches_reference(hp.build_spec("longest_run", ell), chain)
+
+    def test_longest_run_in_blocks_shorter_than_the_tier(self, monkeypatch):
+        # the tiers from 128 on take blocks of _COUNT_FREE_STEPS, shorter
+        # than their lowest level; shorten them here instead
+        monkeypatch.setattr(hp.fmci, "_COUNT_FREE_STEPS", 10)
+        for n in (25, 103):
+            for chain in degenerate_chains(n):
+                for ell in (23, 24, 60, 97, n):
+                    assert_matches_reference(hp.build_spec("longest_run", ell), chain)
+
     def test_one_block_per_group(self, monkeypatch):
         # every group of blocks reuses the first group's buffers, the ragged
         # last block a part of them
         monkeypatch.setattr(hp.fmci, "_GROUP_BYTES", 0)
         for n in (27, 30):
             for statistic, run_length in [("jumps", None), ("positions", None),
-                                          ("exact_run", 2), ("exact_run", 9)]:
+                                          ("exact_run", 2), ("exact_run", 9),
+                                          ("longest_run", None)]:
                 for chain in degenerate_chains(n)[:3]:
                     for ell in (2, hp.auto_truncation(chain, statistic, run_length)):
                         assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
@@ -524,7 +560,8 @@ class TestScanMemory:
         return hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
 
     # the count-free response rows of all 316 blocks of exact_run:400 would
-    # take 254 MB; one group of them takes 16 MB.  The peaks measured 5-18 MB
+    # take 254 MB; its blocks are at most 127 steps, and one group of
+    # transfers takes 1 MB.  The peaks measured 2-10 MB
     @pytest.mark.parametrize("statistic,truncation,run_length", [
         ("jumps", None, None), ("jumps", 60, None), ("positions", None, None),
         ("exact_run", None, 3), ("exact_run", None, 400),
@@ -542,15 +579,46 @@ class TestScanMemory:
         assert final.sum() == pytest.approx(1.0, abs=1e-9) and final.min() >= 0.0
         assert (final[-1] == 0.0) == (truncation is None)
 
+    @staticmethod
+    def longest_run_peak(chain, ell):
+        spec = hp.build_spec("longest_run", ell)
+        tracemalloc.start()
+        try:
+            final = hp.propagate(spec, chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.sum() == pytest.approx(1.0, abs=1e-9) and final.min() >= 0.0
+        return final, peak
+
+    def test_longest_run_peak(self, long_chain):
+        # each tier of levels carries its run-length array, one value per
+        # level and run length, through transfers built a group of blocks at
+        # a time.  The peak measured 2.6 MB at the auto level, 115
+        ell = hp.auto_truncation(long_chain, "longest_run")
+        final, peak = self.longest_run_peak(long_chain, ell)
+        assert peak < 8e6
+        assert 0.0 < final[-1] <= hp.fmci.OVERFLOW_TOL
+
+    def test_longest_run_peak_at_the_state_limit(self, earthquake_model):
+        # 1413 counts of 30 keep the chain in state 2, so every level up to
+        # the CLI's largest, 1412, holds mass; the run-length arrays take
+        # 13 MB, and the peak measured 15.9 MB
+        x = np.full(1413, 30)
+        chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
+        final, peak = self.longest_run_peak(chain, 1412)
+        assert peak < 24e6
+        assert final[-2] > 0.5 and final[-1] == 0.0
+
 
 class TestDenseLongestRun:
-    """The dense longest-run step against the loop-built product over every entry, bit for bit."""
+    """The longest-run scan against the loop-built product over every entry, within 1e-12."""
 
     def test_block_zero_emptied_at_the_first_step(self):
         rng = np.random.default_rng(7)
         stay1, stay2 = rng.uniform(size=(2, 11))
         stay1[0] = 0.0  # every path in state 1 opens a run
-        final = assert_bit_identical(
+        final = assert_matches_reference(
             hp.build_spec("longest_run", 6), manual_chain([0.6, 0.4], stay1, stay2)
         )
         assert final[0] == 0.0 and final[1:].sum() > 0.0
@@ -562,25 +630,32 @@ class TestDenseLongestRun:
         stay1, stay2 = rng.uniform(size=(2, 24))
         stay1[0], stay2[:9] = 0.0, 1.0
         spec = hp.build_spec("longest_run", 20)
-        final = assert_bit_identical(spec, manual_chain([0.5, 0.5], stay1, stay2))
+        final = assert_matches_reference(spec, manual_chain([0.5, 0.5], stay1, stay2))
         dist = hp.aggregate(spec, final)
         assert not dist.probs[:9].any() and dist.probs[9] > 0.0
 
-    def test_the_window_drops_the_emptied_blocks(self, monkeypatch):
-        # one run climbs through every block, so two blocks hold all the mass
-        # and each step multiplies 2 * (hi + 1) entries of each of them
+    def test_one_carry_per_block_and_tier(self, monkeypatch):
+        # one run climbs through every level; the scan carries each tier of
+        # levels through its own blocks once: the levels below the shortest
+        # block length d and [d, 4d) in blocks of d, [4d, 16d) in blocks of
+        # 4d, and so on up to n, above which no run reaches
         counting = CountingNumpy()
         monkeypatch.setattr(hp.fmci, "np", counting)
         ell, n = 300, 200
         spec = hp.build_spec("longest_run", ell)
         final = hp.propagate(spec, manual_chain([0.0, 1.0], np.ones(n - 1), np.ones(n - 1)))
         monkeypatch.undo()
-        assert final[spec.values == n].sum() == 1.0
-        assert counting.entries <= 4 * (n + 1) * (n - 1)
+        assert final[n] == 1.0 and final.sum() == 1.0
+        length = hp.fmci._LONGEST_RUN_BLOCK
+        lengths = [length]  # the dense levels
+        while length <= n:
+            lengths.append(length)
+            length *= 4
+        assert counting.carries == sum(-(-(n - 1) // length) for length in lengths)
 
     def test_propagation_memory_at_the_state_limit(self):
-        # 998,992 states at the CLI's state limit: the two dense buffers take
-        # 32 MB and the final vector 8 MB
+        # the CLI's largest level; no level above n = 3 holds a run, so the
+        # scan carries levels 0..3 only
         spec = hp.build_spec("longest_run", 1412)
         chain = manual_chain([0.4, 0.6], [0.3, 0.8], [0.7, 0.9])
         tracemalloc.start()
@@ -600,7 +675,7 @@ class TestDenseLongestRun:
         stay1, stay2 = rng.uniform(0.2, 0.9, size=(2, ell + 40))
         stay2[: ell - 1] = 1.0
         spec = hp.build_spec("longest_run", ell)
-        final = assert_bit_identical(spec, manual_chain([0.0, 1.0], stay1, stay2))
+        final = assert_matches_reference(spec, manual_chain([0.0, 1.0], stay1, stay2))
         assert not hp.aggregate(spec, final).probs[:ell].any()
 
     @pytest.mark.parametrize("ell", [1, 2, 5])
@@ -611,8 +686,8 @@ class TestDenseLongestRun:
         stay1 = rng.uniform(size=ell)
         chain = manual_chain([0.3, 0.7], stay1, np.full(ell, 0.9))
         spec = hp.build_spec("longest_run", ell)
-        assert assert_bit_identical(spec, prefix(chain, ell))[-1] == 0.0
-        assert assert_bit_identical(spec, chain)[-1] == pytest.approx(0.7 * 0.9**ell)
+        assert assert_matches_reference(spec, prefix(chain, ell))[-1] == 0.0
+        assert assert_matches_reference(spec, chain)[-1] == pytest.approx(0.7 * 0.9**ell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 30])
     def test_levels_from_one_to_above_the_series_length(self, n):
@@ -620,13 +695,29 @@ class TestDenseLongestRun:
         for ell in sorted({1, 2, max(n - 1, 1), n, n + 5}):
             spec = hp.build_spec("longest_run", ell)
             for chain in chains:
-                assert_bit_identical(spec, prefix(chain, n))
+                assert_matches_reference(spec, prefix(chain, n))
+
+    def test_rounding_against_extended_precision(self, earthquake_model):
+        # the recurrence stepped in np.longdouble.  The error measured
+        # 2.1e-15 here, and 4.0e-15 / 1.4e-14 at n = 3*10^4 / 10^5.  On the
+        # probabilities above 1e-6 the relative error measured 1.4e-12;
+        # differences of P(L <= m) alone, without K above 1/2, gave 1.9e-9
+        _, x = hp.simulate(earthquake_model, 3000, seed=2)
+        chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
+        ell = hp.auto_truncation(chain, "longest_run")
+        assert ell >= 16 * hp.fmci._LONGEST_RUN_BLOCK  # every tier of the scan holds levels
+        final = hp.propagate(hp.build_spec("longest_run", ell), chain)
+        exact = reference_longest_run(chain, ell)
+        assert final.min() >= 0.0
+        assert np.abs(final - exact).max() < 1e-14
+        large = exact > 1e-6
+        assert (np.abs(final - exact)[large] / exact[large]).max() < 1e-10
 
     def test_earthquake_series_at_its_auto_level(self, earthquake_model):
         _, x = hp.simulate(earthquake_model, 2000, seed=5)
         chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
         ell = hp.auto_truncation(chain, "longest_run")
-        final = assert_bit_identical(hp.build_spec("longest_run", ell), chain)
+        final = assert_matches_reference(hp.build_spec("longest_run", ell), chain)
         assert 0.0 < final[-1] <= hp.fmci.OVERFLOW_TOL
 
 
