@@ -41,6 +41,7 @@ from .fmci import (
     propagate,
 )
 from .model import (
+    BackwardOverflowError,
     FBTables,
     HmmModel,
     ImpossibleObservationError,

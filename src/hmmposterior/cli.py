@@ -42,9 +42,8 @@ from .decoding import (
     viterbi,
 )
 from .fmci import (
-    _MAX_LONGEST_RUN_STATES,
+    _MAX_LONGEST_RUN_LEVEL,
     _largest_count,
-    _longest_run_size,
     aggregate,
     auto_truncation,
     build_spec,
@@ -52,6 +51,7 @@ from .fmci import (
     propagate,
 )
 from .model import (
+    BackwardOverflowError,
     HmmModel,
     ImpossibleObservationError,
     ModelValidationError,
@@ -151,12 +151,11 @@ def cmd_decode(args) -> int:
 
 
 def _check_longest_run_level(ell: int) -> None:
-    states = _longest_run_size(ell)
-    if states > _MAX_LONGEST_RUN_STATES:
+    if ell > _MAX_LONGEST_RUN_LEVEL:
         raise ValueError(
-            f"longest-run level {ell} needs {states} imbedded states, more than "
-            f"{_MAX_LONGEST_RUN_STATES}; pass a smaller --ell to get a truncated "
-            "distribution"
+            f"longest-run level {ell} is above {_MAX_LONGEST_RUN_LEVEL}, the largest accepted: "
+            f"its run-length arrays would take about {8 * ell**2 / 1e6:.0f} MB "
+            "(8 * level^2 bytes); pass a smaller --ell to get a truncated distribution"
         )
 
 
@@ -391,6 +390,7 @@ _ERROR_CATEGORIES = [
     (DegenerateScalingError, "degenerate-scaling", 5),
     (ImpossibleObservationError, "impossible-observation", 6),
     (ImpossibleSequenceError, "impossible-sequence", 6),
+    (BackwardOverflowError, "numerical-overflow", 10),
     (ValueError, "argument-error", 7),
     (OSError, "io-error", 8),
     (MemoryError, "out-of-memory", 9),

@@ -38,22 +38,31 @@ The blocked scan.  propagate carries a counting statistic as a (count x
 situation) array v through blocks of in-block steps, not position by
 position.  It builds the transfers of a group of blocks at once, in one
 batched pass over the template per in-block step, and multiplies v by one
-block's transfer at a time, keeping only the counts that hold mass; counts
-above ell go to the overflow.  With W situations, a transfer takes one of
-two forms:
+block's transfer at a time; counts above ell go to the overflow.  After each
+carry the window loses the count rows at either end whose every entry is at
+most 1e-30 (_NEGLIGIBLE), so it holds only the counts with mass: it no
+longer grows by a block's degree per block down into subnormal tails, and a
+row lost at the low end never comes back, since counts never decrease.  Each
+trim drops at most the spec's size times 1e-30, so a call drops at most
+(blocks + 1) * size * 1e-30 in all, below 1.3e-19 at n = 10^6.  With W
+situations, a transfer takes one of two forms:
 
   dense       M[i, j, d], the probability of going from situation i to j
               inside the block while counting d.  Blocks have
-              L = isqrt(n - 1) steps, and d runs to the most a block can
-              count (L for positions, (L + 1) // 2 for jumps and runs,
-              (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
+              L = min(isqrt(n - 1), 64) steps, and d runs to the most a
+              block can count (L for positions, (L + 1) // 2 for jumps and
+              runs, (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
               entry then holds every count from ell + 1 on.  The carry
               v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] is one
               block-Toeplitz matrix product.  Per block of D + 1 degrees
-              this costs O(L W^2 D) to build and O(counts W^2 D) to
-              carry.
+              this costs O(L W^2 D) to build and O(counts W^2 D) to carry.
+              On the trimmed window a carry costs about the same at any L,
+              while the build grows with L, so L is capped
+              (_BLOCK_STEPS).  In a sweep of caps from 24 to 96 at
+              n = 10^4 and 10^5, 64 was within noise of the fastest at both,
+              32 and 96 within 20% of it, and 24 was slower.
   count-free  exact_run with large k.  Blocks have
-              L = min(isqrt(n - 1), k, 127) steps, so a run that starts
+              L = min(isqrt(n - 1), 64, k) steps, so a run that starts
               inside a block cannot reach length k there; a block counts
               once at most, when a carried run of length k + 1 - s ends at
               in-block step s.  The rest of the block is the count-free
@@ -62,19 +71,19 @@ two forms:
               in-block step tau, is all it needs.  The carry gathers the
               mass that enters state 1 at each in-block step, by count, into
               one matrix, multiplies it by F, and shifts the carried runs
-              that survive the block by L.  F costs
-              O(L^2) per block, so it is built for a group of blocks that
-              fits in 1 MB at a time, at least 8 of them (hence L <= 127, as
-              the build loops once per in-block step for each group), and
-              the carry costs O(counts L^2).
+              that survive the block by L.  F costs O(L^2) per block, so it
+              is built for a group of blocks that fits in 1 MB at a time,
+              and the carry costs O(counts L^2).
 
 exact_run takes the count-free form when W = k + 2 is wider than
-_DENSE_WIDTH_MAX.  On earthquake-model series of n = 10^3 to 10^5
-(L = 31 to 316) the two forms took equal time between k = 7 and k = 10,
-with no trend in L: the dense form grows with W^2 D, about W (L + k), and
-the count-free form with the n / k blocks it carries one at a time.  jumps,
-runs and positions always take the dense form; jumps and runs share one
-template and differ only in eta.
+_DENSE_WIDTH_MAX = 10.  On earthquake-model series with blocks of 64 steps,
+the two forms took equal time between k = 7 and 8 at n = 10^4, between 8
+and 9 at n = 3 * 10^4 and between 9 and 11 at n = 10^5: the dense form
+grows with W^2 D, about W (L + k), and the count-free form with the n / k
+blocks it carries one at a time.  With the switch between k = 8 and 9, the
+form taken was within about 20% of the faster one at each of these n.
+jumps, runs and positions always take the dense form; jumps and runs share
+one template and differ only in eta.
 
 The longest-run scan.  P(L <= m) is the mass of the paths whose runs never
 pass m.  The scan follows that mass for every level m = 0..ell at once:
@@ -87,33 +96,37 @@ and K[m] = P(L > m).  The levels fall into tiers by the block length d = 6:
               these levels form one block-diagonal matrix per block, built a
               group of blocks at a time.
   count-free  the levels [d, 4d) on blocks of d steps, [4d, 16d) on blocks
-              of 4d, and so on, with blocks no longer than exact_run's
-              count-free ones, 127 steps.  No run that starts inside a block
-              of L <= m steps passes m there, so every level of a tier shares
-              exact_run's count-free transfer (F, beta and the in-block stay
-              products stay[s - 1]).  The carried run of length m - j,
-              j < L, leaves the level at in-block step j + 1 if it stays:
-              K[m] += sum_{j<L} V[m, j] stay[j].  One GEMM of the entry rows
-              (u[m], beta[s - 1] sum_{j >= s-1} V[m, j]) by F gives the new
-              u and the runs of length 1..L that start in the block, and the
-              runs that survive it shift by L in place.
+              of 4d, and so on, with blocks of at most 127 steps, so that a
+              1 MB group holds at least 8 transfers.  No run that starts
+              inside a block of L <= m steps passes m there, so every level
+              of a tier shares exact_run's count-free transfer (F, beta and
+              the in-block stay products stay[s - 1]).  The carried run of
+              length m - j, j < L, leaves the level at in-block step j + 1
+              if it stays: K[m] += sum_{j<L} V[m, j] stay[j].  One GEMM of
+              the entry rows (u[m], beta[s - 1] sum_{j >= s-1} V[m, j]) by
+              F gives the new u and the runs of length 1..L that start in
+              the block, and the runs that survive it shift by L in place.
 
 Each tier is carried through its own blocks, so the scan makes about
 2.3 n / d block carries (n / d for the dense levels, then n / d, n / 4d, ...)
 instead of n - 1 steps.  The tier of the levels [T, 4T) on blocks of L steps
 costs O(L^2) per block to build F, O(T L^2) to carry and O(T^2) to shift,
 so O(n T (L + T / L)) over the series, most of it in the top tier.  On the
-earthquake series of n = 10^4 (ell = 98-137), propagate took 0.10 s on a
-2-core host, and 0.5 s with a run of 1300 counts of 30 in it (ell = 1319).  Levels above n keep all their mass, since no run is longer than
-n.  P(L = m) is a difference of neighbouring cumulatives, of P(L <= .) where
-it is below 1/2 and of K above, clamped at 0, and the overflow is K[ell],
-summed directly.
+earthquake series of n = 10^4 (ell = 98-137), propagate took 0.08-0.10 s
+on a 2-core host, and 0.5 s with a run of 1300 counts of 30 in it
+(ell = 1319).  Levels above n keep all their mass, since no run is longer
+than n.  P(L = m) is a difference of neighbouring cumulatives, of P(L <= .)
+where it is below 1/2 and of K above, clamped at 0, and the overflow is
+K[ell], summed directly.
 
 No term cancels.  Every entry of M and F, and every carried value, is a sum
 of products of probabilities; the count-free carry sums the state-2 mass
 that is not counted from prefix and suffix sums of the runs, not as a total
 minus the counted run.  So no value turns negative, and the result differs
-from the product of the n - 1 step matrices by rounding alone.  The one
+from the product of the n - 1 step matrices by rounding and the trimmed
+rows alone: on an earthquake-model series of n = 10^5, every counting
+statistic was within 1e-16 of the untrimmed scan, and every value the trim
+left at 0 was below 6e-30 there.  The one
 subtraction is longest_run's last step, between neighbouring cumulatives
 that are each accurate to rounding; on an earthquake series of n = 3000 its
 result was within 2.1e-15 of an extended-precision recurrence.
@@ -145,13 +158,22 @@ _A, _NA, _B, _NB = 0, 1, 2, 3
 # most bytes of block transfers built at a time
 _GROUP_BYTES = 2**20
 
-# longest count-free block of exact_run: a group holds at least 8 of its
-# (L + 1)^2 response matrices, since the build loops once per in-block step
-# for each group
+# longest count-free block: a group holds at least 8 of its (L + 1)^2
+# response matrices, since the build loops once per in-block step for each
+# group
 _COUNT_FREE_STEPS = math.isqrt(_GROUP_BYTES // 64) - 1
 
 # widest exact_run template (k + 2) that propagate carries in the dense form
-_DENSE_WIDTH_MAX = 9
+_DENSE_WIDTH_MAX = 10
+
+# longest block of the counting statistics' scan: once the window holds only
+# the counts with mass, a carry costs about the same at any block length,
+# while building a transfer grows with it
+_BLOCK_STEPS = 64
+
+# a count row whose every entry is at most this leaves the carried window at
+# either end
+_NEGLIGIBLE = 1e-30
 
 # block length of longest_run's lowest tier of levels; each tier above has
 # blocks four times longer
@@ -160,12 +182,11 @@ _LONGEST_RUN_BLOCK = 6
 # largest overflow mass auto_truncation allows for longest_run
 OVERFLOW_TOL = 1e-12
 
-# largest _longest_run_size the CLI accepts: it keeps the level at 1412 or
-# below, and with it the scan's run-length arrays, which grow as the square
-# of the level.  At ell = 1412, on 1413 counts that keep mass at every level,
-# they take 13 MB, and propagate peaks at 16 MB and takes 0.1 s on a 2-core
-# host
-_MAX_LONGEST_RUN_STATES = 10**6
+# largest longest_run level the CLI accepts.  The scan's run-length arrays
+# hold one value per level and run length, at most 8 ell^2 bytes.  At
+# ell = 1412, on 1413 counts that keep mass at every level, they take 13 MB,
+# and propagate peaks at 16 MB and takes 0.1 s on a 2-core host
+_MAX_LONGEST_RUN_LEVEL = 1412
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
 # state 1", and a 1 -> 2 transition counts one more
@@ -244,13 +265,6 @@ def _block_template(statistic: str, run_length: int | None) -> tuple:
     if statistic == "exact_run":
         return _exact_run_block(run_length)
     return _POSITIONS_BLOCK if statistic == "positions" else _JUMP_BLOCK
-
-
-def _longest_run_size(ell: int) -> int:
-    # the states of the loop-built imbedding (block m holds state 1 and the
-    # runs 1..m, then the overflow), which grow with the level as the scan's
-    # run-length arrays do; the spec itself has ell + 2 states
-    return (ell + 1) * (ell + 2) // 2 + 1
 
 
 def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
@@ -480,29 +494,34 @@ def _scan_levels(lo, hi, init, a, b):
             flat[(lo - steps) * levels :], (steps, levels), (levels * item, (levels + 1) * item)
         )
 
-    started(1)[0] = init[1]
-    state1 = np.full(levels, init[0])
-    removed = np.zeros(levels)
-    for f, beta, stay in _count_free_transfers(a, b, min(lo, _COUNT_FREE_STEPS)):
-        steps = beta.size
-        near = runs[:steps]
-        removed += stay @ near
-        # state 1 after in-block step s: the runs that leave state 2 then,
-        # those not yet removed (j >= s - 1), summed without a difference
-        entry = np.empty((steps + 1, levels))
-        entry[0] = state1
-        entry[1:] = np.cumsum(near[::-1], axis=0)[::-1]
-        entry[1:] += runs[steps:].sum(axis=0)
-        entry[1:] *= beta[:, None]
-        out = np.matmul(f.T, entry)  # in state 1 (row 0) or a run of length r (row r)
-        state1 = out[0]
+    def views(steps):
         # shift in place, one block length at a time; of the top rows that
         # keep their values, those at or above a level are zero, and the
         # runs that started in the block overwrite the rest
-        for c in range(0, width - steps, steps):
-            e = min(c + steps, width - steps)
-            np.multiply(runs[c + steps : e + steps], stay[-1], out=runs[c:e])
-        started(steps)[:] = out[steps:0:-1]
+        shifts = [(runs[c + steps : min(c + 2 * steps, width)],
+                   runs[c : min(c + steps, width - steps)]) for c in range(0, width - steps, steps)]
+        return runs[:steps], runs[steps:], shifts, started(steps), np.empty((steps + 1, levels))
+
+    started(1)[0] = init[1]
+    state1 = np.full(levels, init[0])
+    removed = np.zeros(levels)
+    steps = 0  # the block length the views were made for; only the last block is shorter
+    for f, beta, stay in _count_free_transfers(a, b, min(lo, _COUNT_FREE_STEPS)):
+        if beta.size != steps:
+            steps = beta.size
+            near, far, shifts, start, entry = views(steps)
+        removed += stay @ near
+        # state 1 after in-block step s: the runs that leave state 2 then,
+        # those not yet removed (j >= s - 1), summed without a difference
+        entry[0] = state1
+        np.cumsum(near[::-1], axis=0, out=entry[:0:-1])
+        entry[1:] += far.sum(axis=0)
+        entry[1:] *= beta[:, None]
+        out = np.matmul(f.T, entry)  # in state 1 (row 0) or a run of length r (row r)
+        state1 = out[0]
+        for src, dst in shifts:
+            np.multiply(src, stay[-1], out=dst)
+        start[:] = out[steps:0:-1]
     return state1 + runs.sum(axis=0), removed
 
 
@@ -528,9 +547,11 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     The result sums to one.  For jumps, runs, positions and exact_run it is
     computed by the blocked scan of the module docstring: eta, reshaped to
     (count x situation) and cut to the counts that hold mass, is carried
-    through one block transfer after another, dense or count-free, with the
-    mass above ell summed into the overflow and the counts that lose all
-    their mass trimmed off both ends.
+    through one block transfer after another, dense or count-free, of at
+    most 64 steps each, with the mass above ell summed into the overflow and
+    the count rows whose entries are all at most 1e-30 trimmed off both
+    ends.  The trim drops at most (blocks + 1) * size * 1e-30 in all, and
+    values that small come out as 0.
 
     For longest_run it is (P(L = 0), ..., P(L = ell), P(L > ell)), from the
     longest-run scan of the module docstring: each tier of levels is carried
@@ -545,7 +566,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     ell, k = spec.truncation, spec.run_length
     width = (spec.size - 1) // (ell + 1)
     v = spec.initial_vector(chain.init[0], chain.init[1])[:-1].reshape(ell + 1, width)
-    length = max(math.isqrt(a.size), 1)
+    length = max(min(math.isqrt(a.size), _BLOCK_STEPS), 1)
     if k is not None and width > _DENSE_WIDTH_MAX:
         length = min(length, k, _COUNT_FREE_STEPS)
         blocks = _count_free_transfers(a, b, length)
@@ -557,7 +578,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
         template = _block_template(spec.statistic, k)
         blocks = _dense_transfers(template, width, tops, saturate, a, b, length)
         carry = _carry_dense
-    live = np.flatnonzero(v.any(axis=1))
+    live = np.flatnonzero(v.max(axis=1) > _NEGLIGIBLE)
     lo, v = live[0], v[live[0] : live[-1] + 1]
     overflow = 0.0
     for transfer in blocks:
@@ -565,7 +586,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
         if v.shape[0] > ell + 1 - lo:  # counts above ell go to the overflow
             overflow += v[ell + 1 - lo :].sum()
             v = v[: ell + 1 - lo]
-        live = np.flatnonzero(v.any(axis=1))
+        live = np.flatnonzero(v.max(axis=1) > _NEGLIGIBLE)
         if live.size == 0:
             break
         lo, v = lo + live[0], v[live[0] : live[-1] + 1]

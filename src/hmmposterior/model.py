@@ -44,6 +44,7 @@ __all__ = [
     "FBTables",
     "ModelValidationError",
     "ImpossibleObservationError",
+    "BackwardOverflowError",
     "RenormalizationWarning",
     "as_counts",
     "as_states",
@@ -61,6 +62,14 @@ class ModelValidationError(ValueError):
 
 class ImpossibleObservationError(ValueError):
     """An observation has zero emission probability under every state."""
+
+
+class BackwardOverflowError(ValueError):
+    """The scaled backward table left the floating-point range.
+
+    It happens when a state the chain cannot reach for a long stretch is the
+    one the counts favour, so that its backward value grows past 1e308.
+    """
 
 
 class RenormalizationWarning(UserWarning):
@@ -410,22 +419,30 @@ def forward_backward(model: HmmModel, x) -> FBTables:
     scale += (top - log_c_blocks.T).sum(axis=0)[:, None]
     ends = np.empty((nblocks, k))
     ends[-1:] = 1.0
-    with np.errstate(divide="ignore"):
+    # an overflow is reported below, once, by the first position it reaches
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for b in range(nblocks - 1, 0, -1):
             ends[b - 1] = np.exp(scale[b] + np.log(P[b] @ ends[b]))
 
-    # pass 3, backward: the normalizers c_t of the shifted emissions, in
-    # place of their logs (1 on the padding)
-    c_next_blocks = np.exp(log_c_blocks, out=log_c_blocks)[:, :, None]
-    bwd[n - 1] = 1.0
-    bwd_blocks = bwd[: nblocks * length].reshape(nblocks, length, k)
-    for j in range(length - 1, -1, -1):
-        live = nblocks - (j >= last)
-        nxt = ends if j == length - 1 else bwd_blocks[:, j + 1]
-        v = (em_blocks[:live, j] * nxt[:live]) @ gamma.T
-        bwd_blocks[:live, j] = v / c_next_blocks[:live, j]
+        # pass 3, backward: the normalizers c_t of the shifted emissions, in
+        # place of their logs (1 on the padding)
+        c_next_blocks = np.exp(log_c_blocks, out=log_c_blocks)[:, :, None]
+        bwd[n - 1] = 1.0
+        bwd_blocks = bwd[: nblocks * length].reshape(nblocks, length, k)
+        for j in range(length - 1, -1, -1):
+            live = nblocks - (j >= last)
+            nxt = ends if j == length - 1 else bwd_blocks[:, j + 1]
+            v = (em_blocks[:live, j] * nxt[:live]) @ gamma.T
+            bwd_blocks[:live, j] = v / c_next_blocks[:live, j]
 
     fwd, bwd = fwd[:n], bwd[:n]
+    if not np.isfinite(bwd.max()):  # max passes on a NaN or an inf, with no temporary array
+        t = n - 1 - int(np.argmin(np.isfinite(bwd).all(axis=1)[::-1]))
+        raise BackwardOverflowError(
+            f"the scaled backward table overflows at position {t + 1}, as it does when "
+            "the counts favour a state the chain cannot reach; the posterior cannot be "
+            "computed in double precision"
+        )
     for a in (fwd, bwd, log_scale, log_em):
         a.flags.writeable = False
     return FBTables(

@@ -538,6 +538,44 @@ class TestBlockedScan:
                 for ell in (23, 24, 60, 97, n):
                     assert_matches_reference(hp.build_spec("longest_run", ell), chain)
 
+    @pytest.mark.parametrize("n", [5000, 10_000])
+    def test_blocks_of_at_most_64_steps(self, monkeypatch, n):
+        # isqrt(n - 1) is 70 and 99 here, above the cap
+        chain = manual_chain([0.3, 0.7], np.full(n - 1, 0.9), np.full(n - 1, 0.8))
+        for statistic, run_length, form in [("jumps", None, "_carry_dense"),
+                                            ("positions", None, "_carry_dense"),
+                                            ("exact_run", 3, "_carry_dense"),
+                                            ("exact_run", 100, "_carry_count_free")]:
+            carry, carries = getattr(hp.fmci, form), []
+
+            def counting_carry(v, transfer):
+                carries.append(v.shape[0])
+                return carry(v, transfer)
+
+            monkeypatch.setattr(hp.fmci, form, counting_carry)
+            exact = hp.auto_truncation(chain, statistic, run_length)
+            final = hp.propagate(hp.build_spec(statistic, exact, run_length), chain)
+            monkeypatch.undo()
+            assert len(carries) == -(-(n - 1) // 64)
+            assert final[-1] == 0.0 and final.min() >= 0.0
+            assert final.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [120, 4300])
+    def test_stays_of_1e_300(self, n):
+        # most carried rows fall below _NEGLIGIBLE and leave the window; at
+        # n = 4300 the blocks are capped at 64 steps, below isqrt(n - 1)
+        statistics = [("jumps", None), ("positions", None), ("exact_run", 3), ("exact_run", 12)]
+        for seed in range(2):
+            chain = random_stay_chain(seed, n)
+            a, b = hp.stay_probabilities(chain)
+            a[(a > 0.0) & (a < 1e-99)] = 1e-300
+            b[(b > 0.0) & (b < 1e-99)] = 1e-300
+            chain = manual_chain(chain.init, a, b)
+            for statistic, run_length in statistics:
+                exact = hp.auto_truncation(chain, statistic, run_length)
+                for ell in sorted({2, exact}):
+                    assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
+
     def test_one_block_per_group(self, monkeypatch):
         # every group of blocks reuses the first group's buffers, the ragged
         # last block a part of them
@@ -560,8 +598,9 @@ class TestScanMemory:
         return hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
 
     # the count-free response rows of all 316 blocks of exact_run:400 would
-    # take 254 MB; its blocks are at most 127 steps, and one group of
-    # transfers takes 1 MB.  The peaks measured 2-10 MB
+    # take 254 MB; its blocks are at most 64 steps, and one group of
+    # transfers takes 1 MB.  The carried windows hold only the counts with
+    # mass, and the peaks measured 2.0-3.7 MB
     @pytest.mark.parametrize("statistic,truncation,run_length", [
         ("jumps", None, None), ("jumps", 60, None), ("positions", None, None),
         ("exact_run", None, 3), ("exact_run", None, 400),
@@ -578,6 +617,24 @@ class TestScanMemory:
         assert peak < 24e6
         assert final.sum() == pytest.approx(1.0, abs=1e-9) and final.min() >= 0.0
         assert (final[-1] == 0.0) == (truncation is None)
+
+    @pytest.mark.parametrize("statistic,run_length", [
+        ("jumps", None), ("runs", None), ("positions", None), ("exact_run", 3), ("exact_run", 40),
+    ])
+    def test_trimmed_against_the_untrimmed_scan(
+        self, long_chain, monkeypatch, statistic, run_length
+    ):
+        # the rows whose entries are all at most _NEGLIGIBLE leave the window;
+        # with a threshold of 0 only the rows without mass do
+        spec = hp.build_spec(
+            statistic, hp.auto_truncation(long_chain, statistic, run_length), run_length
+        )
+        trimmed = hp.propagate(spec, long_chain)
+        monkeypatch.setattr(hp.fmci, "_NEGLIGIBLE", 0.0)
+        untrimmed = hp.propagate(spec, long_chain)
+        assert np.abs(trimmed - untrimmed).max() <= 1e-14
+        assert trimmed.min() >= 0.0
+        assert untrimmed[trimmed == 0.0].max() < 1e-25
 
     @staticmethod
     def longest_run_peak(chain, ell):

@@ -453,7 +453,7 @@ class TestCliFmci:
 
     def test_longest_run_beyond_the_state_budget_is_refused(self, tmp_path, capsys, monkeypatch):
         # 2000 counts of 30 keep the posterior in state 2, so the exact level
-        # is 1999 and the imbedding would hold 2000 * 2001 / 2 + 1 states
+        # is 1999, whose run-length arrays would take 8 * 1999^2 bytes
         obs = write(tmp_path, "x.csv", "30\n" * 2000)
 
         def refuse(*_):
@@ -466,7 +466,7 @@ class TestCliFmci:
         assert rc == 7
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: argument-error: ")
-        assert "level 1999" in err[0] and "2001001 imbedded states" in err[0]
+        assert "level 1999 is above 1412" in err[0] and "about 32 MB" in err[0]
         assert "--ell" in err[0]
         assert not out.exists()
 
@@ -486,8 +486,9 @@ class TestCliFmci:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: argument-error: longest-run level 2000 needs 2003002 imbedded states, "
-            "more than 1000000; pass a smaller --ell to get a truncated distribution"
+            "error: argument-error: longest-run level 2000 is above 1412, the largest "
+            "accepted: its run-length arrays would take about 32 MB (8 * level^2 bytes); "
+            "pass a smaller --ell to get a truncated distribution"
         ]
         assert not out.exists()
 
@@ -785,6 +786,28 @@ def test_failed_command_leaves_no_out(tmp_path, capsys, args, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [
+    "pi 1 0\ngamma 1 0\ngamma 0 1\nlambda 1 50\n",
+    "pi 0 1\ngamma 0.9 0.1\ngamma 0 1\nlambda 20 5\n",  # left to right
+], ids=["unreachable", "left-to-right"])
+@pytest.mark.parametrize("args", [
+    ["fmci", "--statistic", "positions"], ["sample", "--samples", "5"], ["decode"],
+], ids=lambda args: args[0])
+def test_backward_overflow_is_one_error_line(tmp_path, capsys, model, args):
+    # the earthquake counts favour a state these chains cannot reach for most
+    # of the series: no NaN output and no wrong impossible-sequence error
+    path = write(tmp_path, "model.txt", "states 2\n" + model)
+    out = tmp_path / "out"
+    rc = run_cli([*args, "--model", path, "--obs", "earthquakes", "--out", out])
+    assert rc == 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: numerical-overflow: the scaled backward table overflows")
     assert not out.exists()
 
 

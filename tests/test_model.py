@@ -199,6 +199,21 @@ class TestForwardBackward:
         assert "no state the initial distribution allows can emit count 2" in message
         assert "position 1" in message and "every state" not in message
 
+    @pytest.mark.parametrize("pi,gamma,rates", [
+        ([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 50.0]),
+        ([0.0, 1.0], [[0.9, 0.1], [0.0, 1.0]], [20.0, 5.0]),  # left to right
+    ])
+    def test_backward_overflow_is_an_error_without_warning(
+        self, earthquake_counts, pi, gamma, rates
+    ):
+        # the counts favour a state the chain cannot reach for most of the
+        # series, so its backward value grows past the floating-point range
+        m = two_state(pi, gamma, rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hp.BackwardOverflowError, match="overflows at position"):
+                hp.forward_backward(m, earthquake_counts)
+
     def test_rejects_non_finite_counts_without_warning(self, earthquake_model):
         for bad in ([1, np.nan, 3], [np.inf, 2.0], [1.0, -np.inf], [2.0, 1e20]):
             with warnings.catch_warnings():
