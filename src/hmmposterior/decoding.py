@@ -21,10 +21,14 @@ endpoint path equality bit-exact rather than merely numerical.
 
 The kernel advances every alpha of a batch together in a state-major layout
 (states first, alpha last), so each maximum over source states is an
-elementwise maximum of K contiguous rows of alpha values.  Its back-pointer
-is the lowest source index whose candidate equals that maximum, which is the
-first-maximum rule of `argmax`; every score is the same sum of the same two
-operands at any batch size, so a batch decodes each alpha exactly as a
+elementwise maximum of K contiguous rows of alpha values.  The loop over
+positions runs only the max-plus recursion, five numpy calls per position:
+it keeps each step's candidates and reduced maxima in chunk buffers, and
+the back-pointers of a whole chunk are then taken in one vectorized pass
+over those very candidates.  A back-pointer is the lowest source index
+whose candidate equals the maximum, which is the first-maximum rule of
+`argmax`.  Every score is the same sum of the same two operands at any
+batch size and chunk length, so a batch decodes each alpha exactly as a
 single-alpha call does.
 
 Back-tracking follows the stored back-pointers, which are integer maps from
@@ -32,9 +36,8 @@ a state at t to the best state at t - 1.  Rather than one step per position,
 the slots are cut into blocks of L = isqrt(n - 1), each block's maps are
 composed in place toward its end state, the block-end states are chained
 from the last block down, and each position is then read off its block in
-one gather.  Composing integer maps is exact, and the scores are untouched:
-the max-plus recursion still runs one position at a time and sums exactly
-as before, so the paths are bit-identical to stepwise back-tracking.
+one gather.  Composing integer maps is exact and leaves the scores
+untouched, so the paths are bit-identical to stepwise back-tracking.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ __all__ = [
     "hybrid_paths",
     "hybrid_decode",
 ]
+
+
+# candidates (positions x source states x states x alphas) that one chunk of
+# the decoding recursion keeps for its back-pointer pass
+_CHUNK_ENTRIES = 2**16
 
 
 class ImpossibleSequenceError(ValueError):
@@ -99,16 +107,26 @@ def _decode_paths(
     well-scaled for arbitrarily long sequences.
 
     Every array is state-major with alpha last: scores (K, A), weighted
-    transitions (K_src, K_dst, A), local terms (chunk, K, A) and
-    back-pointers (n, K, A) int8.  A reduction over states is then an
-    elementwise operation on K contiguous rows of A values rather than A
-    short inner loops over K.  The back-pointer is the number of leading
-    source rows whose candidate differs from the reduced maximum.  The
-    maximum is exactly one of the candidates (max rounds nothing), so that
-    count is the lowest source index attaining it, which is what `argmax`
-    returns: ties break toward the lowest state index, bit for bit.
-    Local terms are built 512 positions at a time, which bounds the working
-    set beside the back-pointers and the result.
+    transitions (K_src, K_dst, A), the chunk's candidates (chunk, K_src,
+    K_dst, A), maxima and local terms (chunk, K, A), and back-pointers
+    (n, K, A) int8.  A reduction over states is then an elementwise
+    operation on K contiguous rows of A values rather than A short inner
+    loops over K.
+
+    The positions run in chunks of c = max(1, min(512, 2^16 // (K^2 * A)))
+    (`_CHUNK_ENTRIES`), so the candidate buffer holds at most 2^16 entries
+    (512 KB) unless one step's K^2 * A candidates exceed that.  Per position
+    the loop issues the recursion alone: add the weighted transitions to the
+    score row into the step's slot of the candidates, reduce the maximum
+    over sources into its slot of the maxima, add the local term, reduce
+    the maximum over states, and subtract it.  An all-impossible column
+    turns NaN under that shift, and is caught once per chunk.  After the
+    chunk, `_back_pointers` takes every step's back-pointer: the number of
+    leading source rows whose candidate differs from the stored maximum.
+    The maximum is exactly one of the very candidates it was reduced from
+    (max rounds nothing), so that count is the lowest source index
+    attaining it, which is what `argmax` returns: ties break toward the
+    lowest state index, bit for bit.
 
     The paths are read back in O(sqrt(n)) vectorized calls (see the module
     docstring), with L = isqrt(n - 1): L - 1 gathers compose each block's
@@ -156,33 +174,53 @@ def _decode_paths(
     delta -= top
 
     back = np.empty((n, k, num_alpha), dtype=np.int8)
-    cand = np.empty((k, k, num_alpha))
+    chunk = _chunk_length(k, num_alpha)
+    cands = np.empty((chunk, k, k, num_alpha))
+    maxima = np.empty((chunk, k, num_alpha))
+    differs, below = (np.empty((chunk, k, num_alpha), dtype=bool) for _ in range(2))
     spread = delta[:, None, :]
-    # below[i] becomes 1 where rows 0..i all differ from the maximum, and
-    # back[t] is its sum; the last row needs no test, as some row attains it
-    head = cand[: k - 1]
-    below = np.empty((k - 1, k, num_alpha), dtype=np.int8)
-    chain = [(below[i], below[i - 1]) for i in range(1, k - 1)]
-    chunk = 512
     for lo in range(1, n, chunk):
         hi = min(lo + chunk, n)
+        steps = hi - lo
         # an all-impossible column turns NaN under the shift (-inf - -inf),
         # quietly; it is caught once per chunk
         with np.errstate(invalid="ignore"):
-            for bt, extra in zip(back[lo:hi], local_terms(lo, hi)):
+            for cand, best, extra in zip(cands, maxima, local_terms(lo, hi)):
                 np.add(spread, w_trans, out=cand)
-                np.maximum.reduce(cand, axis=0, out=delta)
-                np.not_equal(head, delta, out=below)
-                for row, prev in chain:
-                    row &= prev
-                np.add.reduce(below, axis=0, out=bt)
-                delta += extra
+                np.maximum.reduce(cand, axis=0, out=best)
+                np.add(best, extra, out=delta)
                 np.maximum.reduce(delta, axis=0, out=top)
                 delta -= top
         if np.isnan(delta).any():
             raise ImpossibleSequenceError("every state path has probability zero")
+        _back_pointers(cands[:steps], maxima[:steps], back[lo:hi], differs[:steps], below[:steps])
+    del cands, maxima, differs, below  # not held through the back-tracking
 
     return _back_track(back, np.argmax(delta, axis=0))
+
+
+def _chunk_length(k: int, num_alpha: int) -> int:
+    """Positions per chunk of the decoding recursion for K states and A alphas."""
+    return max(1, min(512, _CHUNK_ENTRIES // (k * k * num_alpha)))
+
+
+def _back_pointers(cands, maxima, back, differs, below) -> None:
+    """Back-pointers of one chunk, from the candidates its maxima reduced.
+
+    cands[s] (K_src, K_dst, A) holds step s's candidates and maxima[s]
+    (K_dst, A) their maximum over sources; back[s, j, a] becomes the number
+    of leading source rows i whose candidate cands[s, i, j, a] differs from
+    maxima[s, j, a], one source row at a time over the whole chunk.  The
+    last row needs no test, as some row attains the maximum.
+    """
+    back[...] = 0
+    for i in range(cands.shape[1] - 1):
+        if i == 0:
+            np.not_equal(cands[:, 0], maxima, out=below)
+        else:
+            np.not_equal(cands[:, i], maxima, out=differs)
+            below &= differs
+        back += below
 
 
 def _back_track(back: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -158,9 +158,10 @@ _A, _NA, _B, _NB = 0, 1, 2, 3
 # most bytes of block transfers built at a time
 _GROUP_BYTES = 2**20
 
-# longest count-free block: a group holds at least 8 of its (L + 1)^2
-# response matrices, since the build loops once per in-block step for each
-# group
+# longest count-free block of the longest-run tiers: a group holds at least
+# 8 of its (L + 1)^2 response matrices, since the build loops once per
+# in-block step for each group.  exact_run's count-free blocks, at most
+# _BLOCK_STEPS long, are shorter
 _COUNT_FREE_STEPS = math.isqrt(_GROUP_BYTES // 64) - 1
 
 # widest exact_run template (k + 2) that propagate carries in the dense form
@@ -568,7 +569,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     v = spec.initial_vector(chain.init[0], chain.init[1])[:-1].reshape(ell + 1, width)
     length = max(min(math.isqrt(a.size), _BLOCK_STEPS), 1)
     if k is not None and width > _DENSE_WIDTH_MAX:
-        length = min(length, k, _COUNT_FREE_STEPS)
+        length = min(length, k)
         blocks = _count_free_transfers(a, b, length)
         carry = _carry_count_free
     else:

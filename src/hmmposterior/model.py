@@ -459,7 +459,9 @@ def posterior_marginals(tables: FBTables) -> np.ndarray:
     return tables.fwd_scaled * tables.bwd_scaled
 
 
-_LOG_JOINT_BLOCK = 1 << 20  # gathered terms per block of paths in log_joint
+# terms per block of paths in log_joint; each holds an intp index and the
+# float64 it gathers
+_LOG_JOINT_BLOCK = 1 << 19
 
 
 def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None):
@@ -488,11 +490,21 @@ def log_joint(model: HmmModel, s, x, *, log_emissions: np.ndarray | None = None)
     log_em = np.pad(log_emissions, ((0, 0), (1, 0)))
     total = log_pi[paths[:, 0]] + log_em[0, paths[:, 0]]
     # the gathered terms are summed a block of whole paths at a time, which
-    # bounds the working set and leaves each path's reduction unchanged
-    steps = np.arange(1, paths.shape[1])
+    # bounds the working set and leaves each path's reduction unchanged.
+    # Each table is raveled and gathered at one flat intp index per term:
+    # prev * (K + 1) + cur for the transitions, t * (K + 1) + cur for the
+    # emissions
+    width = model.num_states + 1
+    flat_gamma, flat_em = log_gamma.ravel(), log_em.ravel()
+    em_rows = np.arange(width, log_em.size, width)
     block = max(1, _LOG_JOINT_BLOCK // paths.shape[1])
+    index = np.empty((min(block, paths.shape[0]), paths.shape[1] - 1), dtype=np.intp)
     for lo in range(0, paths.shape[0], block):
         rows = paths[lo : lo + block]
-        total[lo : lo + block] += log_gamma[rows[:, :-1], rows[:, 1:]].sum(axis=1)
-        total[lo : lo + block] += log_em[steps, rows[:, 1:]].sum(axis=1)
+        here = index[: rows.shape[0]]
+        np.multiply(rows[:, :-1], width, out=here, dtype=np.intp)
+        np.add(here, rows[:, 1:], out=here, dtype=np.intp)
+        total[lo : lo + block] += flat_gamma.take(here).sum(axis=1)
+        np.add(rows[:, 1:], em_rows, out=here, dtype=np.intp)
+        total[lo : lo + block] += flat_em.take(here).sum(axis=1)
     return float(total[0]) if s.ndim == 1 else total

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmposterior as hp
-from hmmposterior.decoding import _decode_paths, _pointwise_log_sum
+from hmmposterior.decoding import _chunk_length, _decode_paths, _pointwise_log_sum
 from oracles import (
     best_hybrid_objective,
     enumerate_posterior,
@@ -121,8 +123,10 @@ class TestHybridDecode:
             )
 
     def test_impossible_column_raises_without_warning(self):
-        # position 700 (in the second 512-position chunk) is impossible in
-        # every state for alpha > 0, so those alphas have no path
+        # position 700 is impossible in every state for alpha > 0, so those
+        # alphas have no path; at K = 2 and three alphas a chunk holds 512
+        # positions, so it lies in the second chunk
+        assert _chunk_length(2, 3) == 512
         log_em = np.zeros((900, 2))
         log_em[700] = -np.inf
         with warnings.catch_warnings():
@@ -152,7 +156,8 @@ class TestDecodeKernel:
         outcomes = []
         for k in (1, 2, 3, 5):
             for trial in range(30):
-                # every fifth sequence spans several 512-position blocks
+                # every fifth sequence spans more than one chunk, of 374
+                # to 512 positions at these K and seven alphas
                 n = int(rng.integers(600, 1200)) if trial % 5 == 0 else int(rng.integers(1, 40))
                 alphas = np.concatenate(([0.0, 1.0], rng.integers(1, 8, size=3) / 8.0, rng.random(2)))
                 rng.shuffle(alphas)
@@ -194,6 +199,89 @@ class TestDecodeKernel:
             assert np.array_equal(_decode_paths(*tables, alphas), reference_decode(*tables, alphas)), \
                 (n, k, num_alpha)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 127])
+    @pytest.mark.parametrize("num_alpha", [1, 2, 257])
+    def test_chunk_edges(self, k, num_alpha):
+        # n - 1 steps end one or two short of a chunk, fill one or two
+        # chunks exactly, or spill one step into the next.  Wide batches
+        # repeat a few alphas, each checked once against the reference
+        c = _chunk_length(k, num_alpha)
+        rng = np.random.default_rng(1000 * k + num_alpha)
+        distinct = np.array([1.0, 0.0, 0.25, 0.5, 0.875, rng.random()])
+        alphas = distinct[np.arange(num_alpha) % distinct.size]
+        rng.shuffle(alphas)
+        for n in sorted({c - 1, c, c + 1, c + 2, 2 * c + 1} - {0}):
+            tables = [rng.integers(-6, 1, size=shape) / 2.0 for shape in (k, (k, k))]
+            log_em = half_integer_table(rng, (n, k), live_rows=True)
+            log_marg = np.where(np.isneginf(log_em), -np.inf, rng.integers(-6, 1, size=(n, k)) / 2.0)
+            tables += [log_em, log_marg]
+            unique, where = np.unique(alphas, return_inverse=True)
+            expected = reference_decode(*tables, unique)[where]
+            assert np.array_equal(_decode_paths(*tables, alphas), expected), (n, k, num_alpha)
+
+    @pytest.mark.parametrize("k, num_alpha", [(2, 3), (3, 257), (5, 2)])
+    def test_impossible_column_at_chunk_ends(self, k, num_alpha):
+        # the first and the last step of each chunk, and the last position
+        c = _chunk_length(k, num_alpha)
+        n = 2 * c + 5
+        alphas = np.linspace(0.0, 1.0, num_alpha) if num_alpha > 1 else np.array([0.5])
+        log_pi, log_gamma = np.log(np.full(k, 1.0 / k)), np.log(np.full((k, k), 1.0 / k))
+        for t in (1, c, c + 1, 2 * c, 2 * c + 1, n - 1):
+            log_em = np.zeros((n, k))
+            log_em[t] = -np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(hp.ImpossibleSequenceError):
+                    _decode_paths(log_pi, log_gamma, log_em, np.zeros((n, k)), alphas)
+            # the alpha = 0 column alone never reads the emissions
+            assert np.array_equal(
+                _decode_paths(log_pi, log_gamma, log_em, np.zeros((n, k)), np.array([0.0])),
+                np.zeros((1, n), dtype=np.int8),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 1200),
+        k=st.integers(1, 5),
+        alphas=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5]), st.floats(0.0, 1.0)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        live=st.booleans(),
+    )
+    def test_matches_reference_decoder_anywhere(self, n, k, alphas, seed, live):
+        rng = np.random.default_rng(seed)
+        alphas = np.array(alphas)
+        tables = [half_integer_table(rng, shape) for shape in (k, (k, k))]
+        tables += [half_integer_table(rng, (n, k), live) for _ in range(2)]
+        try:
+            expected = reference_decode(*tables, alphas)
+        except hp.ImpossibleSequenceError:
+            with pytest.raises(hp.ImpossibleSequenceError):
+                _decode_paths(*tables, alphas)
+        else:
+            assert np.array_equal(_decode_paths(*tables, alphas), expected)
+
+    @pytest.mark.parametrize("k, num_alpha", [(2, 1), (3, 4), (3, 257), (5, 9)])
+    def test_back_pointers_once_per_chunk(self, monkeypatch, k, num_alpha):
+        # the back-pointer comparisons run K - 1 times per chunk, never once
+        # per position
+        counting = CountingNumpy()
+        monkeypatch.setattr(hp.decoding, "np", counting)
+        n = 3000
+        rng = np.random.default_rng(k * num_alpha)
+        log_em, log_marg = (np.log(rng.random((n, k))) for _ in range(2))
+        log_pi, log_gamma = np.log(np.full(k, 1.0 / k)), np.log(np.full((k, k), 1.0 / k))
+        alphas = np.resize([1.0, 0.0, 0.5, 0.3], num_alpha)
+        paths = _decode_paths(log_pi, log_gamma, log_em, log_marg, alphas)
+        monkeypatch.undo()
+        unique, where = np.unique(alphas, return_inverse=True)
+        expected = reference_decode(log_pi, log_gamma, log_em, log_marg, unique)[where]
+        assert np.array_equal(paths, expected)
+        chunks = -(-(n - 1) // _chunk_length(k, num_alpha))
+        assert counting.comparisons == (k - 1) * chunks < n
+
     def test_back_tracking_stays_in_place(self):
         # the back-pointers (n, K, A) and the paths (A, n) take n*A*(K + 1)
         # bytes; a copy of the back-pointers or an (n, A) intp index of the
@@ -220,6 +308,20 @@ class TestDecodeKernel:
             assert np.array_equal(row, hp.hybrid_paths(model, tables, [alpha])[0])
 
 
+class CountingNumpy:
+    """numpy for the decoding module, counting its np.not_equal calls."""
+
+    def __init__(self):
+        self.comparisons = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def not_equal(self, *args, **kwargs):
+        self.comparisons += 1
+        return np.not_equal(*args, **kwargs)
+
+
 def traced_peak_mb(call):
     """call() and the peak of the memory it allocated, in MB."""
     tracemalloc.start()
@@ -241,7 +343,9 @@ class TestInt8Paths:
 
     def test_sweep_batch_memory(self):
         # 257 int8 paths of 2*10^4 positions take 5.1 MB and the kernel's
-        # back-pointers 15.4 MB; an int64 batch alone would take 41 MB
+        # back-pointers 15.4 MB; an int64 batch alone would take 41 MB.  The
+        # decode peaked at 23.1 MB and the scoring, whose blocks of 2^19
+        # terms hold an intp index and a float64 each, at 9.1 MB
         model = hp.model_grid([0.8], [5])[0]
         _, x = hp.simulate(model, 20_000, seed=3)
         tables = hp.forward_backward(model, x)
@@ -249,11 +353,11 @@ class TestInt8Paths:
             lambda: hp.hybrid_paths(model, tables, hp.default_alpha_grid())
         )
         assert paths.dtype == np.int8 and paths.shape == (257, 20_000)
-        assert decode_mb < 30
+        assert decode_mb < 26
         _, score_mb = traced_peak_mb(
             lambda: hp.log_joint(model, paths, x, log_emissions=tables.log_emissions)
         )
-        assert score_mb < 20
+        assert score_mb < 10
 
 
 class TestRisks:

@@ -506,9 +506,10 @@ class TestBlockedScan:
                         assert final[-1] == 0.0
 
     def test_exact_run_in_count_free_blocks_shorter_than_the_root(self, monkeypatch):
-        # count-free blocks are at most _COUNT_FREE_STEPS long, shorter than
-        # isqrt(n - 1) from n = 128^2 + 1 on; shorten them here instead
-        monkeypatch.setattr(hp.fmci, "_COUNT_FREE_STEPS", 4)
+        # blocks are at most _BLOCK_STEPS long, shorter than isqrt(n - 1)
+        # from n = 65^2 + 1 on; shorten them here instead, so that the
+        # count-free blocks are shorter than both the root and k
+        monkeypatch.setattr(hp.fmci, "_BLOCK_STEPS", 4)
         n = 107
         for k in (hp.fmci._DENSE_WIDTH_MAX - 1, 12, 40):
             for chain in degenerate_chains(n):

@@ -369,6 +369,10 @@ class TestLogJoint:
             batch[0] = k
             narrow = batch.astype(np.int8)
             assert np.array_equal(hp.log_joint(model, narrow, x), hp.log_joint(model, batch, x))
+            # unsigned labels index the tables alike
+            for unsigned in (np.uint8, np.uint64):
+                assert np.array_equal(hp.log_joint(model, batch.astype(unsigned), x),
+                                      hp.log_joint(model, batch, x))
             for row in (0, 5):
                 assert hp.log_joint(model, narrow[row], x) == hp.log_joint(model, batch[row], x)
 
