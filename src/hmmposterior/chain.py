@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FBTables, HmmModel
+from .model import FBTables, HmmModel, _follow_maps, _label_dtype
 from .seeding import substream_seed
 
 __all__ = [
@@ -138,14 +138,8 @@ def swap_states(chain: PosteriorChain) -> PosteriorChain:
     )
 
 
-_SAMPLE_CHUNK = 256  # positions per chunk of uniforms and next-state tables
-_SAMPLE_PATHS = 4096  # paths walked together; bounds the live generators
-
-
-def _label_dtype(k: int) -> np.dtype:
-    """The smallest signed integer type that holds the labels 1..k."""
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                if k <= np.iinfo(t).max)
+_SAMPLE_UNIFORMS = 2**16  # per chunk of positions: bounds its uniforms and next-state tables
+_SAMPLE_PATHS = 256  # paths drawn together: a chunk draws 256 or more uniforms per path
 
 
 def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarray:
@@ -158,8 +152,8 @@ def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarr
     parallel.
 
     The paths are drawn a chunk of positions at a time, so the call needs
-    about m*n bytes for the result plus one chunk: float64 uniforms and a
-    next-state table for at most 4096 paths over 256 positions.
+    about m*n bytes for the result plus one chunk: at most 2^16 float64
+    uniforms and a next-state table of K entries per uniform.
     """
     if m < 1:
         raise ValueError("number of paths must be at least 1")
@@ -170,32 +164,29 @@ def sample_posterior_paths(chain: PosteriorChain, m: int, seed: int) -> np.ndarr
         block = paths[first:first + _SAMPLE_PATHS]
         width = block.shape[0]
         gens = [np.random.default_rng(substream_seed(seed, first + i)) for i in range(width)]
-        u = np.empty((min(_SAMPLE_CHUNK, n), width))
-        states = np.empty(u.shape, dtype=paths.dtype)  # 0-based, time-major
-        offset = np.arange(width)
-        for lo in range(0, n, _SAMPLE_CHUNK):
-            span = min(_SAMPLE_CHUNK, n - lo)
+        span = min(n, _SAMPLE_UNIFORMS // width)
+        u = np.empty((width, span))
+        for lo in range(0, n, span):
+            hi = min(lo + span, n)
             # consecutive draws continue each path's stream, so the chunks
             # see the same uniforms as one draw of n per path
-            for i, g in enumerate(gens):
-                u[:span, i] = g.random(span)
-            start = 0
-            if lo == 0:
-                states[0] = np.minimum(np.searchsorted(cum_init, u[0], side="right"), k - 1)
-                index = states[0].astype(np.intp) * width + offset
-                start = 1
-            # nxt[t, i, p]: the state path p moves to from state i at lo + t.
-            # The cumulative rows never decrease, so the count of their first
-            # K-1 entries below u equals the count of all K capped at K-1.
-            rows = np.cumsum(chain.trans[lo + start - 1:lo + span - 1], axis=2)
-            nxt = np.zeros((span, k, width), dtype=paths.dtype)
+            for g, row in zip(gens, u[:, :hi - lo]):
+                g.random(out=row)
+            skip = 0
+            if lo == 0:  # position 0 is drawn from init, not by a step
+                first_states = np.searchsorted(cum_init, u[:, 0], side="right")
+                np.minimum(first_states, k - 1, out=first_states)
+                block[:, 0] = first_states + 1
+                skip = 1
+            # maps[t, i, p]: the state path p moves to from state i at
+            # lo + skip + t.  The cumulative rows never decrease, so the
+            # count of their first K-1 entries below u equals the count of
+            # all K capped at K-1.
+            rows = np.cumsum(chain.trans[lo + skip - 1:hi - 1], axis=2)
+            draws = u[:, skip:hi - lo].T.copy()  # time-major, as the maps
+            maps = np.zeros((hi - lo - skip, k, width), dtype=paths.dtype)
             for j in range(k - 1):
-                nxt[start:] += u[start:span, None, :] > rows[:, :, j, None]
-            nxt = nxt.reshape(span, k * width)
-            for t in range(start, span):
-                nxt[t].take(index, out=states[t])
-                # widened before the offset: state * width overflows int8
-                np.multiply(states[t], width, out=index, dtype=np.intp)
-                index += offset
-            np.add(states[:span].T, 1, out=block[:, lo:lo + span])
+                maps += draws[:, None, :] > rows[:, :, j, None]
+            _follow_maps(maps, block[:, lo + skip - 1] - 1, maps[:, 0])
+            np.add(maps[:, 0].T, 1, out=block[:, lo + skip:hi])
     return paths

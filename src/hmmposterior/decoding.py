@@ -32,22 +32,17 @@ batch size and chunk length, so a batch decodes each alpha exactly as a
 single-alpha call does.
 
 Back-tracking follows the stored back-pointers, which are integer maps from
-a state at t to the best state at t - 1.  Rather than one step per position,
-the slots are cut into blocks of L = isqrt(n - 1), each block's maps are
-composed in place toward its end state, the block-end states are chained
-from the last block down, and each position is then read off its block in
-one gather.  Composing integer maps is exact and leaves the scores
-untouched, so the paths are bit-identical to stepwise back-tracking.
+a state at t to the best state at t - 1; they are stored last slot first,
+so the path is read backwards by the walker `model._follow_maps`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FBTables, HmmModel, as_counts, log_joint, posterior_marginals
+from .model import FBTables, HmmModel, _follow_maps, as_counts, log_joint, posterior_marginals
 
 __all__ = [
     "DecodeResult",
@@ -109,9 +104,10 @@ def _decode_paths(
     Every array is state-major with alpha last: scores (K, A), weighted
     transitions (K_src, K_dst, A), the chunk's candidates (chunk, K_src,
     K_dst, A), maxima and local terms (chunk, K, A), and back-pointers
-    (n, K, A) int8.  A reduction over states is then an elementwise
+    (n - 1, K, A) int8.  A reduction over states is then an elementwise
     operation on K contiguous rows of A values rather than A short inner
-    loops over K.
+    loops over K.  The back-pointers are stored in walk order, row r for
+    slot n - 1 - r, each chunk writing its slots through a reversed view.
 
     The positions run in chunks of c = max(1, min(512, 2^16 // (K^2 * A)))
     (`_CHUNK_ENTRIES`), so the candidate buffer holds at most 2^16 entries
@@ -128,14 +124,9 @@ def _decode_paths(
     attaining it, which is what `argmax` returns: ties break toward the
     lowest state index, bit for bit.
 
-    The paths are read back in O(sqrt(n)) vectorized calls (see the module
-    docstring), with L = isqrt(n - 1): L - 1 gathers compose each block's
-    maps, one per in-block step across all blocks; n / L small gathers
-    chain the block ends; L gathers fill in every position's state; and one
-    copy moves those states into the paths.  Both the maps and the states
-    are stored over the back-pointers, so beside them and the paths the
-    back-tracking holds only an (n / L, K, A) index while composing and the
-    (n / L, A) block ends while filling.
+    The paths are read back in O(sqrt(n)) vectorized calls by
+    `_follow_maps`, whose maps and states are stored over the
+    back-pointers, and one copy moves those states into the paths.
     """
     alphas = np.asarray(alphas, dtype=float)
     n, k = log_em.shape
@@ -173,7 +164,7 @@ def _decode_paths(
         raise ImpossibleSequenceError("every state path has probability zero")
     delta -= top
 
-    back = np.empty((n, k, num_alpha), dtype=np.int8)
+    back = np.empty((n - 1, k, num_alpha), dtype=np.int8)
     chunk = _chunk_length(k, num_alpha)
     cands = np.empty((chunk, k, k, num_alpha))
     maxima = np.empty((chunk, k, num_alpha))
@@ -193,7 +184,8 @@ def _decode_paths(
                 delta -= top
         if np.isnan(delta).any():
             raise ImpossibleSequenceError("every state path has probability zero")
-        _back_pointers(cands[:steps], maxima[:steps], back[lo:hi], differs[:steps], below[:steps])
+        _back_pointers(cands[:steps], maxima[:steps], back[n - hi:n - lo][::-1],
+                       differs[:steps], below[:steps])
     del cands, maxima, differs, below  # not held through the back-tracking
 
     return _back_track(back, np.argmax(delta, axis=0))
@@ -224,59 +216,18 @@ def _back_pointers(cands, maxima, back, differs, below) -> None:
 
 
 def _back_track(back: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """(A, n) int8 paths from (n, K, A) back-pointers and the (A,) last states.
+    """(A, n) int8 paths from (n - 1, K, A) back-pointers and the (A,) last states.
 
-    back[t, j, a] is the state at t - 1 before state j at t; back[0] is
-    unused, and back is overwritten.  Slots 1..n-1 fall into blocks of L;
-    block b holds slots 1 + b*L .. (b+1)*L, and the last block may be short.
+    back[r, j, a] is the state at n - 2 - r before state j at n - 1 - r, the
+    walk order of `_follow_maps`; back is overwritten.
     """
-    n, k, num_alpha = back.shape
-    paths = np.empty((num_alpha, n), dtype=np.int8)
-    paths[:, n - 1] = last
-    if n == 1:
-        return paths
-    length = math.isqrt(n - 1)
-    kxa = k * num_alpha
-    flat = back.reshape(-1)
-    # flat[base[b, a] + i*K*A + j*A] is back[1 + b*L + i, j, a]
-    base = (1 + length * np.arange(-(-(n - 1) // length)))[:, None] * kxa + np.arange(num_alpha)
-    _compose_blocks(back, base, length)
-    # Stitch: the end state of each block, from the last block back
-    ends = np.empty(base.shape, dtype=np.intp)
-    ends[-1] = last
-    cols = np.arange(num_alpha)
-    for b in range(base.shape[0] - 1, 0, -1):
-        ends[b - 1] = back[1 + b * length][ends[b], cols]
-    # Fill: the state before each slot at in-block offset i, one gather
-    # across the blocks, stored over the slot's first row; the rows are then
-    # copied out time-major, which writes the paths far faster than strided
-    # gathers straight into them
-    ends *= num_alpha
-    ends += base
-    for i in range(length):
-        states = back[1 + i::length, 0]
-        np.take(flat[i * kxa:], ends[:states.shape[0]], out=states)
-    paths[:, :n - 1] = back[1:, 0].T
+    steps, _, num_alpha = back.shape
+    paths = np.empty((num_alpha, steps + 1), dtype=np.int8)
+    paths[:, steps] = last
+    states = back[:, 0]
+    _follow_maps(back, last, states)
+    paths[:, :steps] = states[::-1].T
     return paths
-
-
-def _compose_blocks(back: np.ndarray, base: np.ndarray, length: int) -> None:
-    """Compose each block's back-pointer maps toward the block's end, in place.
-
-    Afterwards slot 1 + b*L + i of back maps the state at the end of block b
-    to the state before that slot.  One gather per in-block step serves every
-    block; its index buffer is gone before the caller fills the paths.
-    """
-    num_alpha = back.shape[2]
-    kxa = back.shape[1] * num_alpha
-    flat = back.reshape(-1)
-    index = np.empty((base.shape[0],) + back.shape[1:], dtype=np.intp)
-    for i in range(length - 2, -1, -1):
-        later = back[i + 2::length]
-        here = index[:later.shape[0]]
-        np.multiply(later, num_alpha, out=here, dtype=np.intp)
-        here += base[:later.shape[0], None, :]
-        np.take(flat[i * kxa:], here, out=back[i + 1::length][:later.shape[0]])
 
 
 def _check_alphas(alphas) -> np.ndarray:

@@ -54,8 +54,10 @@ situations, a transfer takes one of two forms:
               runs, (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
               entry then holds every count from ell + 1 on.  The carry
               v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] is one
-              block-Toeplitz matrix product.  Per block of D + 1 degrees
-              this costs O(L W^2 D) to build and O(counts W^2 D) to carry.
+              batched matrix product: the window of the D + 1 counts that
+              reach each count, read in place, times M with its degrees
+              reversed.  Per block of D + 1 degrees this costs O(L W^2 D)
+              to build and O(counts W^2 D) to carry.
               On the trimmed window a carry costs about the same at any L,
               while the build grows with L, so L is capped
               (_BLOCK_STEPS).  In a sweep of caps from 24 to 96 at
@@ -347,27 +349,23 @@ def _dense_transfers(template, width, tops, saturate, a, b, length):
 
 
 def _carry_dense(v, m):
-    """v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d], as one block-Toeplitz product.
+    """v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d], as one batched product.
 
-    v is cut into q chunks of P = degree + 1 counts; each chunk times the
-    Toeplitz matrix T[(i, e), (j, f)] = M[i, j, f - e] spans 2P counts, and
-    the halves of neighbouring chunks add.
+    Row c is the window of the P = degree + 1 counts that reach count c,
+    v[c - P + 1 .. c] of the zero-padded v, which is one run of P * W values
+    of the flat padded array, times M with its degrees reversed.  Grouped by
+    c mod P, the windows of a group start P * W values apart, so each group
+    is a strided matrix that the product reads in place, with no copy.
     """
     width, p = m.shape[1], m.shape[2]
-    q = -(-v.shape[0] // p)
-    chunks = np.zeros((q * p, width))
-    chunks[: v.shape[0]] = v
-    chunks = chunks.reshape(q, p, width).transpose(0, 2, 1).reshape(q, width * p)
-    padded = np.zeros((width, width, 3 * p))
-    padded[..., p : 2 * p] = m
-    # row e of the Toeplitz matrix is padded[..., p - e : 3p - e]
-    rows = np.lib.stride_tricks.sliding_window_view(padded, 2 * p, axis=2)[:, :, p:0:-1]
-    toeplitz = rows.transpose(0, 2, 1, 3).reshape(width * p, width * 2 * p)
-    spans = (chunks @ toeplitz).reshape(q, width, 2 * p)
-    out = np.zeros((q + 1, width, p))
-    out[:q] = spans[..., :p]
-    out[1:] += spans[..., p:]
-    return out.transpose(0, 2, 1).reshape(-1, width)
+    rows = v.shape[0] + p - 1
+    groups = -(-rows // p)
+    padded = np.zeros((groups * p + p - 1) * width)
+    padded[(p - 1) * width : (p - 1) * width + v.size] = v.ravel()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, p * width)[::width]
+    windows = windows.reshape(groups, p, p * width).transpose(1, 0, 2)
+    carried = windows @ m[:, :, ::-1].transpose(2, 0, 1).reshape(p * width, width)
+    return carried.transpose(1, 0, 2).reshape(-1, width)[:rows]
 
 
 def _count_free_transfers(a, b, length):

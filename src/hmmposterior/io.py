@@ -107,7 +107,11 @@ def read_model(path) -> HmmModel:
 
 
 def read_counts(path) -> np.ndarray:
-    """Read an observation series: one non-negative integer per line."""
+    """Read a series of non-negative integers, one per line.
+
+    A first line `count` or `state` is a header and is skipped, so the
+    observations and the states that `simulate` writes both read back.
+    """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -118,7 +122,7 @@ def read_counts(path) -> np.ndarray:
         token = raw.strip()
         if not token:
             continue
-        if lineno == 1 and token.lower() == "count":
+        if lineno == 1 and token.lower() in ("count", "state"):
             continue
         try:
             v = int(token)

@@ -234,6 +234,60 @@ def validate_model(
     return HmmModel(pi=pi / pi_sum, gamma=gamma / row_sums[:, None], rates=rates)
 
 
+def _label_dtype(k: int) -> np.dtype:
+    """The smallest signed integer type that holds the labels 1..k."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if k <= np.iinfo(t).max)
+
+
+def _follow_maps(maps: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
+    """Read a path off a chain of integer state maps: out[t] = maps[t][out[t - 1]].
+
+    maps is a C-contiguous (steps, K, W) integer array, overwritten here:
+    row t maps each column's state before step t to its state at step t, and
+    start (W,) holds the states before step 0.  out is (steps, W) of maps'
+    type and may be a view over maps[:, 0].  Simulation, posterior sampling
+    and decoding all walk their paths here.
+
+    The rows are cut into blocks of L = isqrt(steps).  Each block's maps are
+    composed in place toward its end, so that row b*L + i maps the state
+    before block b to the state at that row: L - 1 gathers, one per in-block
+    step across all blocks.  The states before the blocks are then chained,
+    one small gather per block, and each in-block offset is filled in with
+    one gather across the blocks.  Composing integer maps is exact, so the
+    path is the stepwise walk's, bit for bit.  Beside maps and out the walk
+    holds a (steps / L, K, W) index while composing and the (steps / L, W)
+    block starts while filling.
+    """
+    steps, k, width = maps.shape
+    if steps == 0:
+        return
+    length = math.isqrt(steps)
+    blocks = -(-steps // length)
+    kxw = k * width
+    flat = maps.reshape(-1, copy=False)
+    # flat[base[b, w] + i*K*W + s*W] is maps[b*L + i, s, w]
+    base = (length * kxw) * np.arange(blocks)[:, None] + np.arange(width)
+    index = np.empty((blocks, k, width), dtype=np.intp)
+    for i in range(1, length):
+        here = maps[i::length]
+        count = here.shape[0]
+        np.multiply(maps[i - 1::length][:count], width, out=index[:count], dtype=np.intp)
+        index[:count] += base[:count, None, :]
+        np.take(flat[i * kxw:], index[:count], out=here)
+    del index
+    starts = np.empty((blocks, width), dtype=np.intp)
+    starts[0] = start
+    cols = np.arange(width)
+    for b in range(1, blocks):
+        starts[b] = maps[b * length - 1][starts[b - 1], cols]
+    starts *= width
+    starts += base
+    for i in range(length):
+        rows = out[i::length]
+        np.take(flat[i * kxw:], starts[:rows.shape[0]], out=rows)
+
+
 def simulate(model: HmmModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw a hidden path and observation sequence of length n.
 
@@ -249,15 +303,15 @@ def simulate(model: HmmModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray
     cum_pi = np.cumsum(model.pi)
     cum_gamma = np.cumsum(model.gamma, axis=1)
     u = rng.random(n)
-    # nxt[i][t]: the state a step from state i moves to on the uniform u[t]
-    nxt = [np.minimum(np.searchsorted(row, u, side="right"), k - 1).tolist()
-           for row in cum_gamma]
-    s = min(int(np.searchsorted(cum_pi, u[0], side="right")), k - 1)
-    path = [s]
-    for t in range(1, n):
-        s = nxt[s][t]
-        path.append(s)
-    states = np.array(path, dtype=np.int64)
+    # maps[t - 1, i]: the state a step from state i moves to on the uniform u[t]
+    maps = np.empty((n - 1, k, 1), dtype=_label_dtype(k))
+    for i, row in enumerate(cum_gamma):
+        np.minimum(np.searchsorted(row, u[1:], side="right"), k - 1,
+                   out=maps[:, i, 0], casting="unsafe")
+    states = np.empty(n, dtype=np.int64)
+    states[0] = min(int(np.searchsorted(cum_pi, u[0], side="right")), k - 1)
+    _follow_maps(maps, states[:1], maps[:, 0])
+    states[1:] = maps[:, 0, 0]
     counts = rng.poisson(model.rates[states])
     return states + 1, counts.astype(np.int64)
 

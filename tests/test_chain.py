@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hmmposterior as hp
-from hmmposterior.chain import _SAMPLE_CHUNK, _SAMPLE_PATHS
+from hmmposterior.chain import _SAMPLE_PATHS, _SAMPLE_UNIFORMS
 from oracles import (
     enumerate_posterior,
     oracle_marginals,
@@ -196,13 +196,16 @@ class TestSamplePosteriorPaths:
         assert ok.mean() >= 0.99
 
     def test_matches_the_step_by_step_reference(self):
+        # a block of w paths draws chunks of 2^16 // w positions: n ends one
+        # short of a chunk, fills one, or spills one position into the next
         rng = np.random.default_rng(53)
         for k in (2, 3, 4):
             model = random_model(rng, k)
-            for n in (1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1):
-                _, x = hp.simulate(model, n, seed=int(rng.integers(1 << 31)))
-                ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
-                for m in (1, 127, 128, 300):
+            for m in (1, 127, 128, 300):
+                span = _SAMPLE_UNIFORMS // min(m, _SAMPLE_PATHS)
+                for n in (1, 2, 257) if m == 1 else (1, span - 1, span, span + 1):
+                    _, x = hp.simulate(model, n, seed=int(rng.integers(1 << 31)))
+                    ch = hp.build_posterior_chain(model, hp.forward_backward(model, x))
                     seed = int(rng.integers(1 << 63))
                     got = hp.sample_posterior_paths(ch, m, seed)
                     assert got.dtype == np.int8

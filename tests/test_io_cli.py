@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmposterior as hp
 import oracles
@@ -67,9 +70,33 @@ class TestReadModel:
 
 class TestReadCounts:
     def test_header_optional(self, tmp_path):
-        with_header = io.read_counts(write(tmp_path, "a.csv", "count\n1\n2\n"))
+        count_header = io.read_counts(write(tmp_path, "a.csv", "count\n1\n2\n"))
+        state_header = io.read_counts(write(tmp_path, "s.csv", "state\n1\n2\n"))
         without = io.read_counts(write(tmp_path, "b.csv", "1\n2\n"))
-        assert with_header.tolist() == without.tolist() == [1, 2]
+        assert count_header.tolist() == state_header.tolist() == without.tolist() == [1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(
+        st.one_of(
+            st.text(alphabet="0123456789-+ \t\r\n", max_size=8),
+            st.sampled_from(["count", "state", "Count", "STATE", "\r\n", "\r", "\n",
+                             str(2**63 - 1), str(2**63), str(-2**63), str(10**30), "9" * 5000]),
+        ),
+        max_size=12,
+    ).map("".join))
+    def test_any_text_gives_counts_or_one_parse_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_bytes(text.encode())
+            try:
+                got = io.read_counts(path)
+            except io.ParseError:
+                return
+        tokens = [line.strip() for line in text.splitlines()]
+        if tokens and tokens[0].lower() in ("count", "state"):
+            tokens = tokens[1:]
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(token) for token in tokens if token]
 
     def test_empty_file_names_file(self, tmp_path):
         p = write(tmp_path, "empty.csv", "")
@@ -731,6 +758,19 @@ class TestCliSimulate:
         assert counts.size == 40
         states = (tmp_path / "states.csv").read_text().splitlines()
         assert states[0] == "state" and len(states) == 41
+
+    def test_artemis_reads_the_simulated_series(self, tmp_path):
+        model_path = write(tmp_path, "m.txt", MODEL_TEXT)
+        sim = tmp_path / "sim"
+        assert run_cli(["simulate", "--model", model_path, "--n", "300", "--seed", "0",
+                        "--out", sim]) == 0
+        # seed 0 gives an instance where the decoders disagree, as in
+        # test_artemis_given_data_mode, so the sweep is non-degenerate
+        rc = run_cli(["artemis", "--model", model_path, "--obs", sim / "observations.csv",
+                      "--states", sim / "states.csv", "--out", tmp_path / "art",
+                      "--alpha-grid", "32"])
+        assert rc == 0
+        assert (tmp_path / "art" / "artemis_curve.csv").exists()
 
     def test_missing_obs_for_decode_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

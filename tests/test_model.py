@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson
 
 import hmmposterior as hp
+from hmmposterior.model import _follow_maps
 from oracles import (
     enumerate_posterior,
     oracle_marginals,
@@ -109,6 +112,44 @@ class TestSimulate:
                 got, want = hp.simulate(model, n, seed), reference_simulate(model, n, seed)
                 assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def walk_stepwise(maps, start):
+    """out[t] = maps[t][out[t - 1]], one step per row."""
+    out = np.empty((maps.shape[0], maps.shape[2]), dtype=maps.dtype)
+    cols = np.arange(maps.shape[2])
+    state = start
+    for t, row in enumerate(maps):
+        state = row[state, cols]
+        out[t] = state
+    return out
+
+
+# block counts of isqrt(steps) that end evenly or with a short last block
+SQUARE_STEPS = sorted({s * s + d for s in (1, 2, 3, 10, 31, 33) for d in (-1, 0, 1)})
+
+
+class TestFollowMaps:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        width=st.integers(1, 300),
+        steps=st.one_of(st.integers(0, 1100), st.sampled_from(SQUARE_STEPS)),
+        dtype=st.sampled_from([np.int8, np.int16, np.int64]),
+        alias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=127, width=7, steps=1025, dtype=np.int8, alias=True, seed=127)
+    @example(k=127, width=2, steps=960, dtype=np.int8, alias=False, seed=128)
+    def test_matches_the_stepwise_walk(self, k, width, steps, dtype, alias, seed):
+        # out either separate or a view over maps[:, 0], which the walk overwrites
+        rng = np.random.default_rng(seed)
+        maps = rng.integers(0, k, size=(steps, k, width)).astype(dtype)
+        start = rng.integers(0, k, size=width)
+        want = walk_stepwise(maps, start)
+        out = maps[:, 0] if alias else np.empty((steps, width), dtype=dtype)
+        _follow_maps(maps, start, out)
+        assert np.array_equal(out, want)
 
 
 class TestLogEmissions:
