@@ -44,27 +44,41 @@ most 1e-30 (_NEGLIGIBLE), so it holds only the counts with mass: it no
 longer grows by a block's degree per block down into subnormal tails, and a
 row lost at the low end never comes back, since counts never decrease.  Each
 trim drops at most the spec's size times 1e-30, so a call drops at most
-(blocks + 1) * size * 1e-30 in all, below 1.3e-19 at n = 10^6.  With W
+(blocks + 1) * size * 1e-30 in all, below 8e-20 at n = 10^6.  With W
 situations, a transfer takes one of two forms:
 
   dense       M[i, j, d], the probability of going from situation i to j
               inside the block while counting d.  Blocks have
-              L = min(isqrt(n - 1), 64) steps, and d runs to the most a
+              L = min(isqrt(n - 1), 32) steps, and d runs to the most a
               block can count (L for positions, (L + 1) // 2 for jumps and
               runs, (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
               entry then holds every count from ell + 1 on.  The carry
               v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] is one
-              batched matrix product: the window of the D + 1 counts that
-              reach each count, read in place, times M with its degrees
-              reversed.  Per block of D + 1 degrees this costs O(L W^2 D)
-              to build and O(counts W^2 D) to carry.
+              batched matrix product in place.  With P = D + 1 degrees,
+              the window sits in one of two buffers, allocated once per
+              call, between P - 1 zero rows and the zero rows its carry
+              reads past it.  Row c reads the P * W values that end with
+              count c; grouped by c mod P, one strided view holds every
+              window, the product takes M with its degrees reversed, as the
+              build lays it out with one transpose per group of blocks, and
+              writes the carried rows straight into the other buffer.  The
+              trim then moves the live rows to the front and zeroes only the
+              rows after them that the next carry reads.  The build keeps
+              the blocks of a group along the contiguous axis, so that each
+              of its updates is one long loop over them.  Per block of
+              D + 1 degrees this costs O(L W^2 D) to build and
+              O(counts W^2 D) to carry, plus about 15 us of fixed cost per
+              block on a 2-core host.
               On the trimmed window a carry costs about the same at any L,
-              while the build grows with L, so L is capped
-              (_BLOCK_STEPS).  In a sweep of caps from 24 to 96 at
-              n = 10^4 and 10^5, 64 was within noise of the fastest at both,
-              32 and 96 within 20% of it, and 24 was slower.
+              while the build grows with L, so L is capped (_BLOCK_STEPS).
+              Over caps of 32 to 64 in steps of 8, the eight counting
+              calls of the fmci-auto benchmark series (n = 10^4, seeds 0
+              and 5, medians of 3 rounds) took 0.095-0.097 s at 32, 0.10 s
+              at 40, 0.10-0.11 s at 48, 0.11 s at 56 and 0.13 s at 64, and
+              five of them at n = 10^5 0.60, 0.59, 0.62, 0.65 and 0.73 s;
+              32 was the fastest or within noise of it at both n.
   count-free  exact_run with large k.  Blocks have
-              L = min(isqrt(n - 1), 64, k) steps, so a run that starts
+              L = min(isqrt(n - 1), 32, k) steps, so a run that starts
               inside a block cannot reach length k there; a block counts
               once at most, when a carried run of length k + 1 - s ends at
               in-block step s.  The rest of the block is the count-free
@@ -78,12 +92,12 @@ situations, a transfer takes one of two forms:
               and the carry costs O(counts L^2).
 
 exact_run takes the count-free form when W = k + 2 is wider than
-_DENSE_WIDTH_MAX = 10.  On earthquake-model series with blocks of 64 steps,
-the two forms took equal time between k = 7 and 8 at n = 10^4, between 8
-and 9 at n = 3 * 10^4 and between 9 and 11 at n = 10^5: the dense form
+_DENSE_WIDTH_MAX = 15.  On earthquake-model series with blocks of 32 steps,
+the two forms took equal time between k = 12 and 13 at n = 10^4, between 13
+and 14 at n = 3 * 10^4 and between 16 and 18 at n = 10^5: the dense form
 grows with W^2 D, about W (L + k), and the count-free form with the n / k
-blocks it carries one at a time.  With the switch between k = 8 and 9, the
-form taken was within about 20% of the faster one at each of these n.
+blocks it carries one at a time.  With the switch between k = 13 and 14, the
+form taken was within about 25% of the faster one at each of these n.
 jumps, runs and positions always take the dense form; jumps and runs share
 one template and differ only in eta.
 
@@ -167,12 +181,12 @@ _GROUP_BYTES = 2**20
 _COUNT_FREE_STEPS = math.isqrt(_GROUP_BYTES // 64) - 1
 
 # widest exact_run template (k + 2) that propagate carries in the dense form
-_DENSE_WIDTH_MAX = 10
+_DENSE_WIDTH_MAX = 15
 
 # longest block of the counting statistics' scan: once the window holds only
 # the counts with mass, a carry costs about the same at any block length,
 # while building a transfer grows with it
-_BLOCK_STEPS = 64
+_BLOCK_STEPS = 32
 
 # a count row whose every entry is at most this leaves the carried window at
 # either end
@@ -316,56 +330,96 @@ def _most_counts(statistic: str, run_length: int | None, steps: int) -> int:
 
 
 def _dense_transfers(template, width, tops, saturate, a, b, length):
-    """Every block's transfer M[i, j, d], d < tops[-1], one block at a time.
+    """Every block's transfer, one block at a time, in the layout _carry_dense reads.
 
-    After in-block step s the block has counted less than tops[s - 1].  With
-    `saturate`, M[:, :, -1] holds every count from tops[-1] - 1 on.
+    M[i, j, d] is the probability of going from situation i to j inside the
+    block while counting d < P = tops[-1]; after in-block step s the block
+    has counted less than tops[s - 1].  With `saturate`, M[:, :, -1] holds
+    every count from tops[-1] - 1 on.  A transfer is M with its degrees
+    reversed, as a (P * W, W) matrix: row (P - 1 - d) * W + i, column j holds
+    M[i, j, d].
     """
     degree = tops[-1] - 1
-    per_group = max(1, _GROUP_BYTES // (16 * (degree + 1) * width * width))  # m and nxt
+    per_group = max(1, _GROUP_BYTES // (24 * (degree + 1) * width * width))  # m, nxt and laid
     eye = np.arange(width)
     buffers = None  # one group's, reused: each transfer is carried before the next group
     for ga, gb in _block_groups(a, b, length, per_group):
-        coef = np.stack([ga, 1.0 - ga, gb, 1.0 - gb], axis=2)[..., None, None]
+        blocks = ga.shape[0]
+        coef = np.stack([ga.T, 1.0 - ga.T, gb.T, 1.0 - gb.T], axis=1)  # [step, kind, block]
         if buffers is None:
-            buffers = np.empty((2, width, ga.shape[0], width, degree + 1))
-        # m[j, block, i, d]: from situation i to j, counting d
-        m, nxt = buffers[:, :, : ga.shape[0]]
+            buffers = np.empty((2, width, width, degree + 1, blocks))
+            laid = np.empty((blocks, degree + 1, width, width))
+        # m[j, i, d, block]: from situation i to j, counting d; blocks run
+        # along the contiguous axis, so that each update is one long loop
+        m, nxt = buffers[..., :blocks]
         m.fill(0.0)
         nxt.fill(0.0)
-        m[eye, :, eye, 0] = 1.0
+        m[eye, eye, 0] = 1.0
         for step, top in enumerate(tops[: ga.shape[1]]):
-            nxt[..., :top] = 0.0
-            c = coef[:, step]
+            nxt[:, :, :top] = 0.0
+            c = coef[step]
             for src, dst, kind, advance in template:
-                terms = m[src, :, :, : top - advance]
+                terms = m[src, :, : top - advance]
                 if isinstance(src, slice) and not isinstance(dst, slice):
                     terms = terms.sum(axis=0)  # a range of situations into one
-                nxt[dst, :, :, advance:top] += terms * c[:, kind]
+                nxt[dst, :, advance:top] += terms * c[kind]
                 if advance and saturate:  # each advancing entry moves one situation
-                    nxt[dst, :, :, degree] += m[src, :, :, degree] * c[:, kind, 0]
+                    nxt[dst, :, degree] += m[src, :, degree] * c[kind]
             m, nxt = nxt, m
-        yield from m.transpose(1, 2, 0, 3)
+        group = laid[:blocks]
+        np.copyto(group, m[:, :, ::-1].transpose(3, 2, 1, 0))
+        yield from group.reshape(blocks, -1, width)
 
 
-def _carry_dense(v, m):
-    """v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d], as one batched product.
+def _live(v, lo, ell):
+    """(mass above ell, first, stop) of carried count rows v whose row 0 is count lo.
 
-    Row c is the window of the P = degree + 1 counts that reach count c,
-    v[c - P + 1 .. c] of the zero-padded v, which is one run of P * W values
-    of the flat padded array, times M with its degrees reversed.  Grouped by
-    c mod P, the windows of a group start P * W values apart, so each group
-    is a strided matrix that the product reads in place, with no copy.
+    Rows first..stop-1 are what is left once the counts above ell and the
+    rows at either end whose every entry is at most _NEGLIGIBLE are dropped;
+    first == stop when nothing is.
     """
-    width, p = m.shape[1], m.shape[2]
-    rows = v.shape[0] + p - 1
-    groups = -(-rows // p)
-    padded = np.zeros((groups * p + p - 1) * width)
-    padded[(p - 1) * width : (p - 1) * width + v.size] = v.ravel()
-    windows = np.lib.stride_tricks.sliding_window_view(padded, p * width)[::width]
-    windows = windows.reshape(groups, p, p * width).transpose(1, 0, 2)
-    carried = windows @ m[:, :, ::-1].transpose(2, 0, 1).reshape(p * width, width)
-    return carried.transpose(1, 0, 2).reshape(-1, width)[:rows]
+    top, width = ell + 1 - lo, v.shape[1]
+    overflow = v[top:].sum() if v.shape[0] > top else 0.0
+    live = np.flatnonzero(v[:top] > _NEGLIGIBLE)
+    if live.size == 0:
+        return overflow, 0, 0
+    return overflow, live[0] // width, live[-1] // width + 1
+
+
+def _read_end(rows, p):
+    """End of the buffer rows that _carry_dense reads for a window of `rows` counts."""
+    return (-(-(rows + p - 1) // p) + 1) * p - 1
+
+
+def _carry_dense(source, target, lo, rows, transfer, ell):
+    """Carry the window of `source` through one dense block into `target`, then trim it.
+
+    A buffer holds P - 1 zero rows, the window of `rows` counts from count
+    lo on, and zero rows up to _read_end.  Row c of the carried window,
+    v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d], reads the P counts that
+    reach count c: the P * W values of the buffer that end with count c.
+    Grouped by c mod P, the windows of a group start P * W values apart, so
+    one strided view of `source` holds them all, and one product with the
+    transfer writes the carried rows in place, row c at row P - 1 + c of
+    `target`.  The trim sums the counts above ell into the overflow, drops
+    the rows at either end whose every entry is at most _NEGLIGIBLE, moves
+    the rest to row P - 1 and zeroes the rows after them that the next carry
+    reads.  Returns (lo, rows, overflow) of the window left in `target`.
+    """
+    width, item = source.shape[1], source.itemsize
+    p = transfer.shape[0] // width
+    groups = -(-(rows + p - 1) // p)
+    strides = (width * item, p * width * item, item)
+    windows = np.ndarray((p, groups, p * width), buffer=source, strides=strides)
+    carried = np.ndarray((p, groups, width), buffer=target, offset=(p - 1) * width * item,
+                         strides=strides)
+    np.matmul(windows, transfer, out=carried)
+    v = target[p - 1 : p - 1 + rows + p - 1]
+    overflow, first, stop = _live(v, lo, ell)
+    if first:
+        v[: stop - first] = v[first:stop]
+    target[p - 1 + stop - first : _read_end(stop - first, p)] = 0.0
+    return lo + first, stop - first, overflow
 
 
 def _count_free_transfers(a, b, length):
@@ -547,7 +601,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
     computed by the blocked scan of the module docstring: eta, reshaped to
     (count x situation) and cut to the counts that hold mass, is carried
     through one block transfer after another, dense or count-free, of at
-    most 64 steps each, with the mass above ell summed into the overflow and
+    most 32 steps each, with the mass above ell summed into the overflow and
     the count rows whose entries are all at most 1e-30 trimmed off both
     ends.  The trim drops at most (blocks + 1) * size * 1e-30 in all, and
     values that small come out as 0.
@@ -564,34 +618,41 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
         return _propagate_longest_run(spec.truncation, chain.init, a, b)
     ell, k = spec.truncation, spec.run_length
     width = (spec.size - 1) // (ell + 1)
-    v = spec.initial_vector(chain.init[0], chain.init[1])[:-1].reshape(ell + 1, width)
+    v = np.zeros((2, width))  # counts 0 and 1 hold the eta slots
+    np.put(v, spec.eta_slots, chain.init)
+    _, lo, stop = _live(v, 0, ell)
+    v = v[lo:stop]
+    overflow = 0.0
     length = max(min(math.isqrt(a.size), _BLOCK_STEPS), 1)
     if k is not None and width > _DENSE_WIDTH_MAX:
-        length = min(length, k)
-        blocks = _count_free_transfers(a, b, length)
-        carry = _carry_count_free
+        for transfer in _count_free_transfers(a, b, min(length, k)):
+            v = _carry_count_free(v, transfer)
+            over, first, stop = _live(v, lo, ell)
+            overflow += over
+            lo, v = lo + first, v[first:stop]
+            if v.size == 0:
+                break
     else:
         # a block that counts ell + 1 or more ends in the overflow
         tops = [min(_most_counts(spec.statistic, k, s), ell + 1) + 1 for s in range(1, length + 1)]
         saturate = _most_counts(spec.statistic, k, length) > ell + 1
         template = _block_template(spec.statistic, k)
-        blocks = _dense_transfers(template, width, tops, saturate, a, b, length)
-        carry = _carry_dense
-    live = np.flatnonzero(v.max(axis=1) > _NEGLIGIBLE)
-    lo, v = live[0], v[live[0] : live[-1] + 1]
-    overflow = 0.0
-    for transfer in blocks:
-        v = carry(v, transfer)
-        if v.shape[0] > ell + 1 - lo:  # counts above ell go to the overflow
-            overflow += v[ell + 1 - lo :].sum()
-            v = v[: ell + 1 - lo]
-        live = np.flatnonzero(v.max(axis=1) > _NEGLIGIBLE)
-        if live.size == 0:
-            break
-        lo, v = lo + live[0], v[live[0] : live[-1] + 1]
+        p, rows = tops[-1], v.shape[0]
+        # P - 1 zero rows, a window of at most ell + 1 - lo counts and the
+        # 2 (P - 1) rows past it that a carry reads
+        buffers = np.empty((2, ell + 1 - lo + 3 * (p - 1), width))
+        buffers[:, : _read_end(rows, p)] = 0.0
+        buffers[0, p - 1 : p - 1 + rows] = v
+        source, target = buffers
+        for transfer in _dense_transfers(template, width, tops, saturate, a, b, length):
+            lo, rows, over = _carry_dense(source, target, lo, rows, transfer, ell)
+            overflow += over
+            source, target = target, source
+            if rows == 0:
+                break
+        v = source[p - 1 : p - 1 + rows]
     final = np.zeros(spec.size)
-    if live.size:
-        final[lo * width : lo * width + v.size] = v.ravel()
+    final[lo * width : lo * width + v.size] = v.ravel()
     final[-1] = overflow
     return final
 

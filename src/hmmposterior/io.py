@@ -24,6 +24,7 @@ each label's digits, and the image is written as it is.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +182,7 @@ def _write_table(path, columns: dict, footer=(), end="\r\n") -> None:
             cells = [column[lo:lo + _ROW_BLOCK].tolist() if kind in "fbiu"
                      else _cells(column[lo:lo + _ROW_BLOCK])
                      for kind, column in zip(kinds, columns.values())]
-            fh.write(line * len(cells[0]) % tuple(v for row in zip(*cells) for v in row))
+            fh.write(line * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
         fh.writelines(",".join(_cells(row)) + end for row in footer)
 
 

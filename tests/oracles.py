@@ -12,7 +12,9 @@ functions, one Python loop per FMCI imbedding, which list every entry of
 its step matrix and pin the state space of `build_spec` for the counting
 statistics, and
 `reference_propagate`, the FMCI product over all those entries, which
-together pin the blocked scans of every statistic; `reference_longest_run`,
+together pin the blocked scans of every statistic; `reference_carry`, one
+dense block of the counting scan as a product of a zero-padded copy of the
+window, which pins the in-place carry bit for bit; `reference_longest_run`,
 the longest-run recurrence one step at a time in extended precision, which
 bounds the rounding error of the longest-run scan;
 `reference_simulate` and
@@ -295,6 +297,26 @@ def reference_propagate(spec, chain) -> np.ndarray:
         coef[_NB] = 1.0 - b[t]
         v = np.bincount(cols, weights=v[rows] * coef[kinds], minlength=size)
     return v
+
+
+def reference_carry(v, m) -> np.ndarray:
+    """v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] for the counts c of v and the P - 1 above.
+
+    m is M[i, j, d], d < P.  Row c is the window of the P counts that reach
+    count c, v[c - P + 1 .. c] of a zero-padded copy of v, which is one run
+    of P * W values of the flat padded array, times M with its degrees
+    reversed.  Grouped by c mod P, the windows of a group start P * W values
+    apart, so each group is a strided matrix that the product reads in place.
+    """
+    width, p = m.shape[1], m.shape[2]
+    rows = v.shape[0] + p - 1
+    groups = -(-rows // p)
+    padded = np.zeros((groups * p + p - 1) * width)
+    padded[(p - 1) * width : (p - 1) * width + v.size] = v.ravel()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, p * width)[::width]
+    windows = windows.reshape(groups, p, p * width).transpose(1, 0, 2)
+    carried = windows @ m[:, :, ::-1].transpose(2, 0, 1).reshape(p * width, width)
+    return carried.transpose(1, 0, 2).reshape(-1, width)[:rows]
 
 
 def reference_longest_run(chain, truncation: int) -> np.ndarray:

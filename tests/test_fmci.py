@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmposterior as hp
 from oracles import (
@@ -12,6 +14,7 @@ from oracles import (
     random_instance,
     reference_build_positions_chain,
     reference_build_spec,
+    reference_carry,
     reference_longest_run,
     reference_propagate,
     statistic_value,
@@ -379,6 +382,17 @@ class CountingNumpy:
         return np.matmul(x, y)
 
 
+class NanNumpy:
+    """numpy for the fmci module, whose np.empty fills with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape):
+        return np.full(shape, np.nan)
+
+
 def assert_matches_reference(spec, chain):
     final = hp.propagate(spec, chain)
     np.testing.assert_allclose(final, reference_final(spec, chain), rtol=0, atol=1e-12)
@@ -443,9 +457,9 @@ class TestWindowedPropagation:
         for chain in [prefix(c, n) for c in fixtures] + randoms:
             windows = []
 
-            def counting_carry(v, m):
-                windows.append(v.shape[0])
-                return carry(v, m)
+            def counting_carry(source, target, lo, rows, transfer, ell):
+                windows.append(rows)
+                return carry(source, target, lo, rows, transfer, ell)
 
             monkeypatch.setattr(hp.fmci, "_carry_dense", counting_carry)
             assert_matches_reference(spec, chain)
@@ -507,7 +521,7 @@ class TestBlockedScan:
 
     def test_exact_run_in_count_free_blocks_shorter_than_the_root(self, monkeypatch):
         # blocks are at most _BLOCK_STEPS long, shorter than isqrt(n - 1)
-        # from n = 65^2 + 1 on; shorten them here instead, so that the
+        # from n = 33^2 + 1 on; shorten them here instead, so that the
         # count-free blocks are shorter than both the root and k
         monkeypatch.setattr(hp.fmci, "_BLOCK_STEPS", 4)
         n = 107
@@ -540,7 +554,7 @@ class TestBlockedScan:
                     assert_matches_reference(hp.build_spec("longest_run", ell), chain)
 
     @pytest.mark.parametrize("n", [5000, 10_000])
-    def test_blocks_of_at_most_64_steps(self, monkeypatch, n):
+    def test_blocks_of_at_most_32_steps(self, monkeypatch, n):
         # isqrt(n - 1) is 70 and 99 here, above the cap
         chain = manual_chain([0.3, 0.7], np.full(n - 1, 0.9), np.full(n - 1, 0.8))
         for statistic, run_length, form in [("jumps", None, "_carry_dense"),
@@ -549,23 +563,25 @@ class TestBlockedScan:
                                             ("exact_run", 100, "_carry_count_free")]:
             carry, carries = getattr(hp.fmci, form), []
 
-            def counting_carry(v, transfer):
-                carries.append(v.shape[0])
-                return carry(v, transfer)
+            def counting_carry(*args):
+                carries.append(args)
+                return carry(*args)
 
             monkeypatch.setattr(hp.fmci, form, counting_carry)
             exact = hp.auto_truncation(chain, statistic, run_length)
             final = hp.propagate(hp.build_spec(statistic, exact, run_length), chain)
             monkeypatch.undo()
-            assert len(carries) == -(-(n - 1) // 64)
+            assert len(carries) == -(-(n - 1) // 32)
             assert final[-1] == 0.0 and final.min() >= 0.0
             assert final.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [120, 4300])
     def test_stays_of_1e_300(self, n):
         # most carried rows fall below _NEGLIGIBLE and leave the window; at
-        # n = 4300 the blocks are capped at 64 steps, below isqrt(n - 1)
-        statistics = [("jumps", None), ("positions", None), ("exact_run", 3), ("exact_run", 12)]
+        # n = 4300 the blocks are capped at 32 steps, below isqrt(n - 1)
+        count_free = hp.fmci._DENSE_WIDTH_MAX - 1  # the least k whose k + 2 is wider
+        statistics = [("jumps", None), ("positions", None), ("exact_run", 3),
+                      ("exact_run", count_free)]
         for seed in range(2):
             chain = random_stay_chain(seed, n)
             a, b = hp.stay_probabilities(chain)
@@ -577,17 +593,82 @@ class TestBlockedScan:
                 for ell in sorted({2, exact}):
                     assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
 
+    def test_buffers_that_start_as_nan(self, monkeypatch):
+        # every buffer propagate takes from np.empty is written before it is
+        # read: the scan's margins and the transfers of each group
+        monkeypatch.setattr(hp.fmci, "np", NanNumpy())
+        count_free = hp.fmci._DENSE_WIDTH_MAX - 1
+        for n in (27, 102):
+            for statistic, run_length in [("jumps", None), ("runs", None), ("positions", None),
+                                          ("exact_run", 3), ("exact_run", count_free),
+                                          ("longest_run", None)]:
+                for chain in degenerate_chains(n)[:4]:
+                    for ell in (2, hp.auto_truncation(chain, statistic, run_length)):
+                        assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
+
     def test_one_block_per_group(self, monkeypatch):
         # every group of blocks reuses the first group's buffers, the ragged
         # last block a part of them
         monkeypatch.setattr(hp.fmci, "_GROUP_BYTES", 0)
+        count_free = hp.fmci._DENSE_WIDTH_MAX - 1  # the least k whose k + 2 is wider
         for n in (27, 30):
             for statistic, run_length in [("jumps", None), ("positions", None),
-                                          ("exact_run", 2), ("exact_run", 9),
+                                          ("exact_run", 2), ("exact_run", count_free),
                                           ("longest_run", None)]:
                 for chain in degenerate_chains(n)[:3]:
                     for ell in (2, hp.auto_truncation(chain, statistic, run_length)):
                         assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
+
+
+def reference_block(v, lo, m, ell):
+    """(lo, window, overflow) after one dense block: reference_carry, then the scan's trim."""
+    v = reference_carry(v, m)
+    overflow = v[ell + 1 - lo :].sum() if v.shape[0] > ell + 1 - lo else 0.0
+    v = v[: ell + 1 - lo]
+    live = np.flatnonzero(v.max(axis=1) > hp.fmci._NEGLIGIBLE)
+    if live.size == 0:
+        return lo, v[:0], overflow
+    return lo + live[0], v[live[0] : live[-1] + 1], overflow
+
+
+class TestDenseCarry:
+    """_carry_dense through two buffers that start as NaN, against reference_carry bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 400),
+        width=st.integers(2, 10),
+        p=st.integers(2, 70),
+        lo=st.sampled_from([0, 1, 57]),
+        headroom=st.sampled_from([0, 1, 69, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_carry(self, rows, width, p, lo, headroom, seed):
+        # headroom 0: the window ends at count ell; lo 0: it starts at count 0
+        rng = np.random.default_rng(seed)
+        ell = lo + rows - 1 + headroom
+        v = rng.random((rows, width))
+        v[rng.random(rows) < 0.2] = 0.0
+        v[: rng.integers(0, 3)] *= 1e-40  # negligible rows at either end
+        v[rows - rng.integers(0, 3) :] *= 1e-40
+        v[rows // 2, 0] = 0.5  # a live row, so that the first trim leaves one
+        buffers = np.full((2, ell + 1 - lo + 3 * (p - 1), width), np.nan)
+        buffers[:, : p - 1] = 0.0
+        source, target = buffers
+        source[p - 1 : p - 1 + rows] = v
+        source[p - 1 + rows : hp.fmci._read_end(rows, p)] = 0.0
+        for _ in range(3):  # the later carries read the margins the trims zeroed
+            m = rng.random((width, width, p))
+            m[:, :, rng.random(p) < 0.2] = 0.0
+            transfer = np.ascontiguousarray(m[:, :, ::-1].transpose(2, 0, 1)).reshape(-1, width)
+            expected_lo, expected, expected_overflow = reference_block(v, lo, m, ell)
+            lo, rows, overflow = hp.fmci._carry_dense(source, target, lo, rows, transfer, ell)
+            v = target[p - 1 : p - 1 + rows]
+            assert (lo, rows) == (expected_lo, expected.shape[0])
+            assert np.array_equal(v, expected) and overflow == expected_overflow
+            if rows == 0:
+                break
+            source, target = target, source
 
 
 class TestScanMemory:
@@ -599,9 +680,10 @@ class TestScanMemory:
         return hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
 
     # the count-free response rows of all 316 blocks of exact_run:400 would
-    # take 254 MB; its blocks are at most 64 steps, and one group of
+    # take 254 MB; its blocks are at most 32 steps, and one group of
     # transfers takes 1 MB.  The carried windows hold only the counts with
-    # mass, and the peaks measured 2.0-3.7 MB
+    # mass, in two buffers of at most ell + 1 counts each, and the peaks
+    # measured 1.9-5.2 MB
     @pytest.mark.parametrize("statistic,truncation,run_length", [
         ("jumps", None, None), ("jumps", 60, None), ("positions", None, None),
         ("exact_run", None, 3), ("exact_run", None, 400),
