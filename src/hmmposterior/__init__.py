@@ -14,7 +14,6 @@ from .artemis import (
     blockwise_accuracy,
     blockwise_study,
     default_alpha_grid,
-    model_grid,
     optimal_alpha,
     sweep,
 )
@@ -34,7 +33,6 @@ from .decoding import (
     viterbi,
 )
 from .fmci import (
-    aggregate,
     auto_truncation,
     build_spec,
     expected_exact_run_counts,
@@ -46,6 +44,7 @@ from .model import (
     HmmModel,
     ImpossibleObservationError,
     ModelValidationError,
+    NumericalError,
     RenormalizationWarning,
     forward_backward,
     log_joint,

@@ -29,7 +29,6 @@ from .model import (
     log_joint,
     posterior_marginals,
     simulate,
-    validate_model,
 )
 from .seeding import substream_seed
 
@@ -44,7 +43,6 @@ __all__ = [
     "optimal_alpha",
     "artemis_study",
     "blockwise_study",
-    "model_grid",
 ]
 
 
@@ -244,27 +242,3 @@ def blockwise_study(
             )
     return rows
 
-
-def model_grid(q_values, a_values) -> list[HmmModel]:
-    """Three-state Poisson models with staying probability q and rate spread a.
-
-    Each model has initial distribution (0.8, 0.1, 0.1), transition matrix
-    with q on the diagonal and (1-q)/2 off it, and rates (20-a, 20, 20+a).
-    Models are returned row-major: q varies slowest.
-    """
-    models = []
-    for q in np.atleast_1d(q_values):
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"staying probability must lie in (0, 1], got {q}")
-        for a in np.atleast_1d(a_values):
-            if not -20.0 < a < 20.0:
-                raise ValueError(f"rate spread must lie in (-20, 20), got {a}")
-            off = (1.0 - q) / 2.0
-            gamma = np.full((3, 3), off)
-            np.fill_diagonal(gamma, q)
-            models.append(
-                validate_model(
-                    HmmModel(pi=np.array([0.8, 0.1, 0.1]), gamma=gamma, rates=np.array([20.0 - a, 20.0, 20.0 + a]))
-                )
-            )
-    return models

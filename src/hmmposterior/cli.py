@@ -43,9 +43,7 @@ from .decoding import (
 )
 from .fmci import (
     _MAX_LONGEST_RUN_LEVEL,
-    _largest_count,
-    aggregate,
-    auto_truncation,
+    _level,
     build_spec,
     expected_exact_run_counts,
     propagate,
@@ -55,6 +53,7 @@ from .model import (
     HmmModel,
     ImpossibleObservationError,
     ModelValidationError,
+    NumericalError,
     RenormalizationWarning,
     forward_backward,
     log_joint,
@@ -182,13 +181,7 @@ def cmd_fmci(args) -> int:
     chain = build_posterior_chain(model, tables)
     if args.target_state == 1:
         chain = swap_states(chain)
-    levels = []
-    for statistic, run_length in parsed:
-        if fixed_ell is None:
-            levels.append(auto_truncation(chain, statistic, run_length))
-        else:  # no counting statistic exceeds its exact level, and no run n
-            top = _largest_count(x.size, statistic, run_length)
-            levels.append(min(fixed_ell, x.size if top is None else top))
+    levels = [_level(chain, statistic, k, fixed_ell) for statistic, k in parsed]
     for (statistic, _), ell in zip(parsed, levels):
         if statistic == "longest_run":
             _check_longest_run_level(ell)
@@ -199,8 +192,7 @@ def cmd_fmci(args) -> int:
     for (statistic, run_length), ell in zip(parsed, levels):
         if fixed_ell is None:
             print(f"auto truncation for {statistic}: {ell}")
-        spec = build_spec(statistic, ell, run_length)
-        dist = aggregate(spec, propagate(spec, chain))
+        dist = propagate(build_spec(statistic, ell, run_length), chain)
         if statistic == "exact_run":
             exact_runs[run_length] = dist
         suffix = statistic if run_length is None else f"{statistic}_{run_length}"
@@ -391,6 +383,7 @@ _ERROR_CATEGORIES = [
     (ImpossibleObservationError, "impossible-observation", 6),
     (ImpossibleSequenceError, "impossible-sequence", 6),
     (BackwardOverflowError, "numerical-overflow", 10),
+    (NumericalError, "numerical-error", 10),
     (ValueError, "argument-error", 7),
     (OSError, "io-error", 8),
     (MemoryError, "out-of-memory", 9),

@@ -3,12 +3,12 @@
 For a two-state posterior chain with staying probabilities a_t (state 1) and
 b_t (state 2), each supported statistic gets an augmented (counter, situation)
 Markov chain whose step-t transition matrix is a sparse function of
-(a_t, b_t).  Propagating the augmented initial vector through the sequence
-and aggregating the final vector yields the exact posterior distribution of
-the statistic, truncated at a level ell with the remaining mass reported as
-an explicit ">= ell+1" overflow bucket.  auto_truncation chooses ell from the
-chain, without sampling: exact for the counting statistics, overflow at most
-1e-12 for longest_run.
+(a_t, b_t).  propagate carries the augmented initial distribution through
+the sequence and groups what it ends with by value: the exact posterior
+distribution of the statistic, truncated at a level ell with the remaining
+mass reported as an explicit ">= ell+1" overflow bucket.  auto_truncation
+chooses ell from the chain, without sampling: exact for the counting
+statistics, overflow at most 1e-12 for longest_run.
 
 Statistics:
 
@@ -30,9 +30,9 @@ describe the whole step matrix: an entry (src, dst, kind, advance) moves the
 mass of situation src to dst with probability a, 1-a, b or 1-b by kind, and
 counts one more if advance is 1.  src and dst may be ranges (runs growing by
 one) or a range into one situation (runs ending).  longest_run is the
-exception: its spec has one state per value 0..ell and then the overflow,
-and propagate computes it by the longest-run scan below, not from a
-template.  A spec holds only the state space; the step rule is propagate's.
+exception: propagate computes it by the longest-run scan below, not from a
+template.  A spec names the statistic and its level; the step rule is
+propagate's.
 
 The blocked scan.  propagate carries a counting statistic as a (count x
 situation) array v through blocks of in-block steps, not position by
@@ -67,16 +67,9 @@ situations, a transfer takes one of two forms:
               the blocks of a group along the contiguous axis, so that each
               of its updates is one long loop over them.  Per block of
               D + 1 degrees this costs O(L W^2 D) to build and
-              O(counts W^2 D) to carry, plus about 15 us of fixed cost per
-              block on a 2-core host.
-              On the trimmed window a carry costs about the same at any L,
+              O(counts W^2 D) to carry, plus a fixed cost per block.  On
+              the trimmed window a carry costs about the same at any L,
               while the build grows with L, so L is capped (_BLOCK_STEPS).
-              Over caps of 32 to 64 in steps of 8, the eight counting
-              calls of the fmci-auto benchmark series (n = 10^4, seeds 0
-              and 5, medians of 3 rounds) took 0.095-0.097 s at 32, 0.10 s
-              at 40, 0.10-0.11 s at 48, 0.11 s at 56 and 0.13 s at 64, and
-              five of them at n = 10^5 0.60, 0.59, 0.62, 0.65 and 0.73 s;
-              32 was the fastest or within noise of it at both n.
   count-free  exact_run with large k.  Blocks have
               L = min(isqrt(n - 1), 32, k) steps, so a run that starts
               inside a block cannot reach length k there; a block counts
@@ -92,14 +85,12 @@ situations, a transfer takes one of two forms:
               and the carry costs O(counts L^2).
 
 exact_run takes the count-free form when W = k + 2 is wider than
-_DENSE_WIDTH_MAX = 15.  On earthquake-model series with blocks of 32 steps,
-the two forms took equal time between k = 12 and 13 at n = 10^4, between 13
-and 14 at n = 3 * 10^4 and between 16 and 18 at n = 10^5: the dense form
-grows with W^2 D, about W (L + k), and the count-free form with the n / k
-blocks it carries one at a time.  With the switch between k = 13 and 14, the
-form taken was within about 25% of the faster one at each of these n.
+_DENSE_WIDTH_MAX = 15.  The dense form grows with W^2 D, about W (L + k),
+and the count-free form with the n / k blocks it carries one at a time, so
+the dense form is the faster for small k; the switch sits between k = 13
+and 14, where the two forms cost about the same on earthquake-model series.
 jumps, runs and positions always take the dense form; jumps and runs share
-one template and differ only in eta.
+one template and differ only in where a start in state 2 is counted.
 
 The longest-run scan.  P(L <= m) is the mass of the paths whose runs never
 pass m.  The scan follows that mass for every level m = 0..ell at once:
@@ -127,13 +118,10 @@ Each tier is carried through its own blocks, so the scan makes about
 2.3 n / d block carries (n / d for the dense levels, then n / d, n / 4d, ...)
 instead of n - 1 steps.  The tier of the levels [T, 4T) on blocks of L steps
 costs O(L^2) per block to build F, O(T L^2) to carry and O(T^2) to shift,
-so O(n T (L + T / L)) over the series, most of it in the top tier.  On the
-earthquake series of n = 10^4 (ell = 98-137), propagate took 0.08-0.10 s
-on a 2-core host, and 0.5 s with a run of 1300 counts of 30 in it
-(ell = 1319).  Levels above n keep all their mass, since no run is longer
-than n.  P(L = m) is a difference of neighbouring cumulatives, of P(L <= .)
-where it is below 1/2 and of K above, clamped at 0, and the overflow is
-K[ell], summed directly.
+so O(n T (L + T / L)) over the series, most of it in the top tier.  Levels
+above n keep all their mass, since no run is longer than n.  P(L = m) is a
+difference of neighbouring cumulatives, of P(L <= .) where it is below 1/2
+and of K above, clamped at 0, and the overflow is K[ell], summed directly.
 
 No term cancels.  Every entry of M and F, and every carried value, is a sum
 of products of probabilities; the count-free carry sums the state-2 mass
@@ -163,7 +151,6 @@ __all__ = [
     "ExpectedRunCounts",
     "build_spec",
     "propagate",
-    "aggregate",
     "expected_exact_run_counts",
     "auto_truncation",
 ]
@@ -202,7 +189,7 @@ OVERFLOW_TOL = 1e-12
 # largest longest_run level the CLI accepts.  The scan's run-length arrays
 # hold one value per level and run length, at most 8 ell^2 bytes.  At
 # ell = 1412, on 1413 counts that keep mass at every level, they take 13 MB,
-# and propagate peaks at 16 MB and takes 0.1 s on a 2-core host
+# and propagate peaks at 16 MB
 _MAX_LONGEST_RUN_LEVEL = 1412
 
 # one block of jumps or runs: situation 0 is "in state 2", situation 1 "in
@@ -216,52 +203,27 @@ _POSITIONS_BLOCK = ((0, 0, _B, 1),) + _JUMP_BLOCK[1:]
 class ImbeddingSpec:
     """An imbedded state space for one pattern statistic.
 
-    size        : number of imbedded states M.
     statistic   : one of jumps / runs / positions / exact_run / longest_run.
     truncation  : largest statistic value tracked exactly.
     run_length  : the target run length for exact_run, else None.
-    eta_slots   : indices receiving (P(y_1=1|x), P(y_1=2|x)).
-    values      : statistic value of each imbedded state; truncation + 1
-                  designates the overflow bucket.
+    width       : situations per count (see the module docstring); 1 for
+                  longest_run.
 
-    For jumps, runs, positions and exact_run, state c * width + s is
-    situation s of block c (see the module docstring), so the states before
-    the last, the overflow, are row-major (count x situation), the array
-    propagate carries through its blocks; for longest_run, state m is the
-    value m.  The spec stores no step matrix: propagate derives the block
-    template and the block transfers from the statistic.
+    The imbedding is ell + 1 blocks of `width` situations, block c for the
+    paths that have counted c, then the overflow.  The spec stores no step
+    matrix: propagate derives the block template and the block transfers
+    from the statistic.
     """
 
     statistic: str
     truncation: int
-    size: int
     run_length: int | None
-    eta_slots: tuple[int, int]
-    values: np.ndarray
+    width: int
 
-    def initial_vector(self, eta1: float, eta2: float) -> np.ndarray:
-        """Imbedded initial distribution from the two conditional initial probs."""
-        v = np.zeros(self.size)
-        v[self.eta_slots[0]] += eta1
-        v[self.eta_slots[1]] += eta2
-        return v
-
-
-def _freeze_spec(statistic, truncation, run_length, eta_slots, values):
-    values.flags.writeable = False
-    return ImbeddingSpec(statistic, truncation, values.size, run_length, eta_slots, values)
-
-
-def _tiled(statistic, ell, width, eta_slots, run_length=None, open_run=None):
-    """ell + 1 blocks of `width` situations, then the overflow state.
-
-    `open_run` is the exact_run situation that counts one more when the
-    sequence ends in it.
-    """
-    values = np.arange((ell + 1) * width + 1, dtype=np.int64) // width
-    if open_run is not None:
-        values[open_run::width] += 1
-    return _freeze_spec(statistic, ell, run_length, eta_slots, values)
+    @property
+    def size(self) -> int:
+        """Number of imbedded states: ell + 1 blocks, then the overflow."""
+        return (self.truncation + 1) * self.width + 1
 
 
 def _exact_run_block(k: int) -> tuple:
@@ -288,21 +250,16 @@ def build_spec(statistic: str, truncation: int, run_length: int | None = None) -
     """The imbedding for a statistic by name; exact_run also needs run_length."""
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    if statistic in ("jumps", "runs"):
-        # a start in state 2 opens a run but is no jump
-        eta_slots = (1, 0) if statistic == "jumps" else (1, 2)
-        return _tiled(statistic, truncation, 2, eta_slots)
-    if statistic == "positions":
-        return _tiled(statistic, truncation, 2, (1, 2))
+    if statistic in ("jumps", "runs", "positions"):
+        return ImbeddingSpec(statistic, truncation, None, 2)
     if statistic == "longest_run":  # one state per value, then the overflow
-        return _tiled(statistic, truncation, 1, (0, 1))
+        return ImbeddingSpec(statistic, truncation, None, 1)
     if statistic == "exact_run":
         if run_length is None:
             raise ValueError("exact_run requires run_length")
         if run_length < 1:
             raise ValueError("run length must be at least 1")
-        k = run_length
-        return _tiled(statistic, truncation, k + 2, (1, 2), k, k + 1)
+        return ImbeddingSpec(statistic, truncation, run_length, run_length + 2)
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -579,7 +536,7 @@ def _scan_levels(lo, hi, init, a, b):
 
 
 def _propagate_longest_run(ell, init, a, b):
-    """P(L = m) for m = 0..ell, then P(L > ell), by the tiers of the module docstring."""
+    """(P(L = m) for m = 0..ell, P(L > ell)), by the tiers of the module docstring."""
     top = min(ell, a.size + 1)  # no run is longer than n: the levels above keep all the mass
     kept, removed = np.ones(ell + 1), np.zeros(ell + 1)
     lo = min(_LONGEST_RUN_BLOCK, top + 1)
@@ -591,35 +548,37 @@ def _propagate_longest_run(ell, init, a, b):
     # a difference of the smaller neighbouring cumulatives: of P(L <= m)
     # below 1/2, of the removed mass P(L > m) above
     probs = np.where(kept < 0.5, np.diff(kept, prepend=0.0), -np.diff(removed, prepend=1.0))
-    return np.append(np.maximum(probs, 0.0), removed[-1])
+    return np.maximum(probs, 0.0), removed[-1]
 
 
-def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
-    """Final imbedded distribution: eta * prod_t Lambda(a_t, b_t).
+def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> Distribution:
+    """The distribution of spec's statistic: eta * prod_t Lambda(a_t, b_t), grouped by value.
 
-    The result sums to one.  For jumps, runs, positions and exact_run it is
-    computed by the blocked scan of the module docstring: eta, reshaped to
-    (count x situation) and cut to the counts that hold mass, is carried
-    through one block transfer after another, dense or count-free, of at
-    most 32 steps each, with the mass above ell summed into the overflow and
-    the count rows whose entries are all at most 1e-30 trimmed off both
-    ends.  The trim drops at most (blocks + 1) * size * 1e-30 in all, and
-    values that small come out as 0.
+    For jumps, runs, positions and exact_run it is computed by the blocked
+    scan of the module docstring: eta, as (count x situation) rows cut to
+    the counts that hold mass, is carried through one block transfer after
+    another, dense or count-free, of at most 32 steps each, with the mass
+    above ell summed into the overflow and the count rows whose entries are
+    all at most 1e-30 trimmed off both ends.  The trim drops at most
+    (blocks + 1) * size * 1e-30 in all, and values that small come out as 0.
 
-    For longest_run it is (P(L = 0), ..., P(L = ell), P(L > ell)), from the
-    longest-run scan of the module docstring: each tier of levels is carried
-    through its own blocks, and the final vector takes the differences of
-    the cumulatives P(L <= m) and K[m] that the tiers end with.  It is
-    within rounding of the product over the loop-built imbedding's entries,
-    not bit-identical to it.
+    For longest_run it comes from the longest-run scan of the module
+    docstring: each tier of levels is carried through its own blocks, and
+    P(L = m) takes the differences of the cumulatives P(L <= m) and K[m]
+    that the tiers end with.  It is within rounding of the product over the
+    loop-built imbedding's entries, not bit-identical to it.
+
+    Raises ValueError when the result does not sum to 1 within 1e-9, as
+    when chain.init does not.
     """
     a, b = stay_probabilities(chain)
+    ell, k, width = spec.truncation, spec.run_length, spec.width
     if spec.statistic == "longest_run":
-        return _propagate_longest_run(spec.truncation, chain.init, a, b)
-    ell, k = spec.truncation, spec.run_length
-    width = (spec.size - 1) // (ell + 1)
-    v = np.zeros((2, width))  # counts 0 and 1 hold the eta slots
-    np.put(v, spec.eta_slots, chain.init)
+        probs, overflow = _propagate_longest_run(ell, chain.init, a, b)
+        return _by_value(spec, probs[:, None], 0, overflow)
+    # state 1 starts at count 0; state 2 opens a run, but is no jump
+    v = np.zeros((2, width))
+    np.put(v, (1, 0 if spec.statistic == "jumps" else 2), chain.init)
     _, lo, stop = _live(v, 0, ell)
     v = v[lo:stop]
     overflow = 0.0
@@ -651,10 +610,7 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> np.ndarray:
             if rows == 0:
                 break
         v = source[p - 1 : p - 1 + rows]
-    final = np.zeros(spec.size)
-    final[lo * width : lo * width + v.size] = v.ravel()
-    final[-1] = overflow
-    return final
+    return _by_value(spec, v, lo, overflow)
 
 
 @dataclass(frozen=True)
@@ -676,21 +632,28 @@ class Distribution:
         return int(self.support[-1])
 
 
-def aggregate(spec: ImbeddingSpec, final: np.ndarray) -> Distribution:
-    """Group a final imbedded vector by statistic value."""
-    final = np.asarray(final, dtype=float)
-    if final.shape != (spec.size,):
-        raise ValueError(f"final vector must have length {spec.size}")
-    total = final.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"final vector sums to {total}, expected 1 within 1e-9")
+def _by_value(spec, v, lo, overflow) -> Distribution:
+    """The distribution of the carried rows v, whose row 0 is count lo, and the overflow mass.
+
+    Row c holds value lo + c, and exact_run's last situation, a run of
+    exactly k still open at the end, one more.  One bincount sums each
+    value in row order, as over the whole imbedded vector, and the
+    overflow mass comes last.
+    """
+    labels = lo + np.arange(v.size) // spec.width
+    if spec.statistic == "exact_run":
+        labels[spec.width - 1 :: spec.width] += 1
     ell = spec.truncation
-    grouped = np.bincount(spec.values, weights=final, minlength=ell + 2)
+    # float, also when v is empty and bincount returns int64
+    grouped = np.bincount(labels, weights=v.ravel(), minlength=ell + 2).astype(float)
+    total = grouped.sum() + overflow
+    if not abs(total - 1.0) <= 1e-9:  # also a NaN
+        raise ValueError(f"the distribution sums to {total}, expected 1 within 1e-9")
     return Distribution(
         statistic=spec.statistic,
         support=np.arange(ell + 1),
         probs=grouped[: ell + 1],
-        overflow=float(grouped[ell + 1]),
+        overflow=float(grouped[ell + 1] + overflow),
         run_length=spec.run_length,
     )
 
@@ -729,14 +692,10 @@ def expected_exact_run_counts(
     expected = np.empty(k_max)
     lower = np.zeros(k_max, dtype=bool)
     for k in range(1, k_max + 1):
-        if truncation is None:
-            ell = auto_truncation(chain, "exact_run", k)
-        else:  # no value lies above the exact level
-            ell = min(truncation, _largest_count(chain.n, "exact_run", k))
+        ell = _level(chain, "exact_run", k, truncation)
         dist = computed.get(k)
         if dist is None or dist.truncation != ell:
-            spec = build_spec("exact_run", ell, k)
-            dist = aggregate(spec, propagate(spec, chain))
+            dist = propagate(build_spec("exact_run", ell, k), chain)
         # the overflow mass counts at truncation + 1
         expected[k - 1] = (dist.support * dist.probs).sum() + (ell + 1) * dist.overflow
         lower[k - 1] = dist.overflow > 1e-9
@@ -763,6 +722,18 @@ def _largest_count(n: int, statistic: str, run_length: int | None = None) -> int
     if statistic != "longest_run":
         raise ValueError(f"unknown statistic {statistic!r}")
     return None
+
+
+def _level(chain: PosteriorChain, statistic: str, run_length: int | None, ell: int | None) -> int:
+    """The level a statistic is propagated at: auto_truncation's for ell None, else ell capped.
+
+    No counting statistic takes a value above its auto level, and no run is
+    longer than n, so a higher level only adds values without mass.
+    """
+    if ell is None:
+        return auto_truncation(chain, statistic, run_length)
+    top = _largest_count(chain.n, statistic, run_length)
+    return min(ell, chain.n if top is None else top)
 
 
 def auto_truncation(chain: PosteriorChain, statistic: str, run_length: int | None = None) -> int:

@@ -44,6 +44,7 @@ __all__ = [
     "FBTables",
     "ModelValidationError",
     "ImpossibleObservationError",
+    "NumericalError",
     "BackwardOverflowError",
     "RenormalizationWarning",
     "as_counts",
@@ -64,7 +65,12 @@ class ImpossibleObservationError(ValueError):
     """An observation has zero emission probability under every state."""
 
 
-class BackwardOverflowError(ValueError):
+class NumericalError(ValueError):
+    """The posterior cannot be computed in double precision: a table left the
+    floating-point range, or the marginal rows do not sum to one."""
+
+
+class BackwardOverflowError(NumericalError):
     """The scaled backward table left the floating-point range.
 
     It happens when a state the chain cannot reach for a long stretch is the
@@ -400,7 +406,8 @@ def forward_backward(model: HmmModel, x) -> FBTables:
     one small step per block.  The results agree with the sequential
     recursion within 1e-12 (absolute for the marginals and log_scale,
     relative for loglik), and an impossible count is reported at the same
-    position with the same message.
+    position with the same message.  A marginal row fwd * bwd that misses 1
+    by more than 1e-9 raises NumericalError rather than being returned.
     """
     x = as_counts(x)
     n = x.size
@@ -496,6 +503,17 @@ def forward_backward(model: HmmModel, x) -> FBTables:
             f"the scaled backward table overflows at position {t + 1}, as it does when "
             "the counts favour a state the chain cannot reach; the posterior cannot be "
             "computed in double precision"
+        )
+    # every row of the marginals sums to 1, unless the scan lost mass that
+    # it still counts elsewhere (n sums, no n x K temporary)
+    sums = np.einsum("ij,ij->i", fwd, bwd)
+    off = ~(np.abs(sums - 1.0) <= 1e-9)  # also a NaN
+    if off.any():
+        t = int(np.argmax(off))
+        raise NumericalError(
+            f"the posterior marginals at position {t + 1} sum to {sums[t]:.12g}, not 1 "
+            "within 1e-9: the scaled tables lost probability mass to underflow, so the "
+            "posterior cannot be computed in double precision"
         )
     for a in (fwd, bwd, log_scale, log_em):
         a.flags.writeable = False

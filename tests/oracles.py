@@ -54,6 +54,23 @@ def random_instance(rng, num_states=2, n_low=2, n_high=12):
     return model, x
 
 
+def model_grid(q_values, a_values) -> list:
+    """Three-state Poisson models with staying probability q and rate spread a.
+
+    Each model has initial distribution (0.8, 0.1, 0.1), transition matrix
+    with q on the diagonal and (1-q)/2 off it, and rates (20-a, 20, 20+a).
+    Models are returned row-major: q varies slowest.
+    """
+    models = []
+    for q in q_values:
+        gamma = np.full((3, 3), (1.0 - q) / 2.0)
+        np.fill_diagonal(gamma, q)
+        for a in a_values:
+            model = hp.HmmModel(pi=[0.8, 0.1, 0.1], gamma=gamma, rates=[20.0 - a, 20.0, 20.0 + a])
+            models.append(hp.validate_model(model))
+    return models
+
+
 def all_paths(num_states: int, n: int) -> np.ndarray:
     return np.array(
         list(itertools.product(range(1, num_states + 1), repeat=n)), dtype=np.int64
@@ -350,9 +367,11 @@ def reference_longest_run(chain, truncation: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """A loop-built FMCI imbedding: the fields of ImbeddingSpec plus its step matrix.
+    """A loop-built FMCI imbedding: its states, their statistic values and its step matrix.
 
-    rows/cols/kinds list the entries of the step matrix: entry
+    eta_slots are the states that receive (P(y_1=1|x), P(y_1=2|x)), and
+    values[i] is the statistic value of state i, truncation + 1 for the
+    overflow.  rows/cols/kinds list the entries of the step matrix: entry
     (rows[e], cols[e]) holds a, 1-a, b, 1-b or 1 according to kinds[e].
     """
 

@@ -7,6 +7,7 @@ import hmmposterior as hp
 from hmmposterior.chain import _SAMPLE_PATHS, _SAMPLE_UNIFORMS
 from oracles import (
     enumerate_posterior,
+    model_grid,
     oracle_marginals,
     random_instance,
     random_model,
@@ -133,7 +134,7 @@ class TestStayProbabilities:
         assert np.allclose(b, 0.9, atol=1e-12)
 
     def test_rejects_three_states(self):
-        m = hp.model_grid([0.8], [5])[0]
+        m = model_grid([0.8], [5])[0]
         _, x = hp.simulate(m, 5, seed=0)
         ch = hp.build_posterior_chain(m, hp.forward_backward(m, x))
         with pytest.raises(hp.TwoStateRequiredError):

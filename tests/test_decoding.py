@@ -12,6 +12,7 @@ from oracles import (
     best_hybrid_objective,
     enumerate_posterior,
     hybrid_score_components,
+    model_grid,
     random_instance,
     reference_decode,
 )
@@ -298,7 +299,7 @@ class TestDecodeKernel:
         assert peak_mb * 1e6 < n * alphas.size * (k + 1) + 0.5e6
 
     def test_alpha_columns_do_not_mix(self):
-        model = hp.model_grid([0.8], [5])[0]
+        model = model_grid([0.8], [5])[0]
         _, x = hp.simulate(model, 20_000, seed=3)
         tables = hp.forward_backward(model, x)
         grid = hp.default_alpha_grid()
@@ -346,7 +347,7 @@ class TestInt8Paths:
         # back-pointers 15.4 MB; an int64 batch alone would take 41 MB.  The
         # decode peaked at 23.1 MB and the scoring, whose blocks of 2^19
         # terms hold an intp index and a float64 each, at 9.1 MB
-        model = hp.model_grid([0.8], [5])[0]
+        model = model_grid([0.8], [5])[0]
         _, x = hp.simulate(model, 20_000, seed=3)
         tables = hp.forward_backward(model, x)
         paths, decode_mb = traced_peak_mb(
@@ -428,7 +429,7 @@ class TestGeometricMeans:
 
 class TestBatchedLogJoint:
     def test_artemis_batch_equals_row_by_row(self):
-        model = hp.model_grid([0.8], [5])[0]
+        model = model_grid([0.8], [5])[0]
         _, x = hp.simulate(model, 20_000, seed=0)
         tables = hp.forward_backward(model, x)
         paths = hp.hybrid_paths(model, tables, hp.default_alpha_grid())

@@ -10,9 +10,9 @@ import hmmposterior as hp
 from oracles import (
     _ONE,
     enumerate_posterior,
+    model_grid,
     oracle_distribution,
     random_instance,
-    reference_build_positions_chain,
     reference_build_spec,
     reference_carry,
     reference_longest_run,
@@ -39,6 +39,7 @@ ALL_BUILDERS = [
     ("exact_run_2", lambda ell: hp.build_spec("exact_run", ell, 2)),
     ("exact_run_3", lambda ell: hp.build_spec("exact_run", ell, 3)),
 ]
+BUILDER_NAMES = [name for name, _ in ALL_BUILDERS]
 
 
 def manual_chain(init, stay1, stay2):
@@ -54,8 +55,12 @@ def manual_chain(init, stay1, stay2):
 
 
 def fmci_distribution(chain, statistic, ell, run_length=None):
-    spec = hp.build_spec(statistic, ell, run_length)
-    return hp.aggregate(spec, hp.propagate(spec, chain))
+    return hp.propagate(hp.build_spec(statistic, ell, run_length), chain)
+
+
+def with_overflow(dist):
+    """The probabilities of the values 0..ell, then the overflow."""
+    return np.append(dist.probs, dist.overflow)
 
 
 def tiled_entries(spec):
@@ -81,18 +86,14 @@ def tiled_entries(spec):
     return np.array(entries, dtype=np.int64).T
 
 
-def reference_final(spec, chain):
-    """reference_propagate on the loop-built imbedding of spec's statistic, in spec's layout."""
+def reference_values(spec, chain):
+    """reference_propagate on the loop-built imbedding of spec's statistic, grouped by value.
+
+    The probabilities of the values 0..ell, then the overflow.
+    """
     ref = reference_build_spec(spec.statistic, spec.truncation, spec.run_length)
     final = reference_propagate(ref, chain)
-    if spec.statistic == "longest_run":
-        # one state per value: the loop builder's blocks, summed
-        return np.bincount(ref.values, weights=final, minlength=spec.size)
-    if spec.statistic == "positions":
-        # build_spec's positions starts with a state no path reaches (no
-        # position counted, in state 2); the loop builder leaves it out
-        final = np.concatenate(([0.0], final))
-    return final
+    return np.bincount(ref.values, weights=final, minlength=spec.truncation + 2)
 
 
 class TestSpecConstruction:
@@ -114,13 +115,6 @@ class TestSpecConstruction:
                 mat = np.zeros((spec.size, spec.size))
                 np.add.at(mat, (spec.rows, spec.cols), coef[spec.kinds])
                 assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
-
-    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
-    def test_initial_vector_normalized(self, name, builder):
-        spec = builder(3)
-        v = spec.initial_vector(0.25, 0.75)
-        assert abs(v.sum() - 1.0) < 1e-12
-        assert (v >= 0).all()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -148,31 +142,19 @@ class TestSpecConstruction:
             for statistic, run_length in statistics:
                 mine = hp.build_spec(statistic, ell, run_length)
                 ref = reference_build_spec(statistic, ell, run_length)
-                for name in ("statistic", "truncation", "size", "run_length", "eta_slots"):
+                for name in ("statistic", "truncation", "size", "run_length"):
                     assert getattr(mine, name) == getattr(ref, name)
-                assert mine.values.dtype == ref.values.dtype
-                assert np.array_equal(mine.values, ref.values)
                 for chain in chains:
-                    final, expected = hp.propagate(mine, chain), reference_propagate(ref, chain)
-                    np.testing.assert_allclose(final, expected, rtol=0, atol=1e-12)
+                    assert_matches_reference(mine, chain)
             # longest_run has one state per value, the loop builder a block of
             # run lengths per value: their distributions must agree
-            ref_spec = reference_build_spec("longest_run", ell)
             for chain in chains:
-                mine = fmci_distribution(chain, "longest_run", ell)
-                ref = hp.aggregate(ref_spec, reference_propagate(ref_spec, chain))
-                np.testing.assert_allclose(mine.probs, ref.probs, rtol=0, atol=1e-12)
-                assert mine.overflow == pytest.approx(ref.overflow, rel=0, abs=1e-12)
-                assert mine.probs.min() >= 0.0 and mine.overflow >= 0.0
-        # positions gains a state that never holds mass, so its arrays differ
+                assert_matches_reference(hp.build_spec("longest_run", ell), chain)
+        # positions gains a state that never holds mass, so its size differs
         # from the reference's; its distributions must not
         for chain in chains:
             for ell in (chain.n, 3):
-                mine = fmci_distribution(chain, "positions", ell)
-                ref_spec = reference_build_positions_chain(ell)
-                ref = hp.aggregate(ref_spec, reference_propagate(ref_spec, chain))
-                np.testing.assert_allclose(mine.probs, ref.probs, rtol=0, atol=1e-12)
-                assert mine.overflow == pytest.approx(ref.overflow, rel=0, abs=1e-12)
+                assert_matches_reference(hp.build_spec("positions", ell), chain)
 
     @pytest.mark.parametrize("ell", [1, 2, 12, 120])
     @pytest.mark.parametrize("statistic,run_length", [
@@ -286,57 +268,44 @@ class TestOracleEquivalence:
 
 
 class TestPropagateAggregate:
-    def test_length_one_returns_initial_vector(self):
+    # one position: jumps count none, runs, positions and the longest run
+    # count a start in state 2, and exact_run:k counts its open run for k = 1
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS, ids=BUILDER_NAMES)
+    def test_length_one_gives_the_initial_distribution(self, name, builder):
         chain = hp.PosteriorChain(init=np.array([0.2, 0.8]), trans=np.empty((0, 2, 2)))
-        spec = hp.build_spec("runs", 3)
-        final = hp.propagate(spec, chain)
-        assert final == pytest.approx(spec.initial_vector(0.2, 0.8))
+        dist = hp.propagate(builder(3), chain)
+        expected = [1.0, 0.0] if name in ("jumps", "exact_run_2", "exact_run_3") else [0.2, 0.8]
+        assert np.array_equal(with_overflow(dist), expected + [0.0, 0.0, 0.0])
 
     def test_final_vector_sums_to_one(self, lamb_chain):
         for _, builder in ALL_BUILDERS:
-            spec = builder(9)
-            final = hp.propagate(spec, lamb_chain)
-            assert final.sum() == pytest.approx(1.0, abs=1e-9)
+            dist = hp.propagate(builder(9), lamb_chain)
+            assert dist.probs.sum() + dist.overflow == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_three_state_chain(self):
-        m = hp.model_grid([0.8], [5])[0]
+        m = model_grid([0.8], [5])[0]
         _, x = hp.simulate(m, 6, seed=0)
         chain = hp.build_posterior_chain(m, hp.forward_backward(m, x))
         with pytest.raises(hp.TwoStateRequiredError):
             hp.propagate(hp.build_spec("jumps", 3), chain)
 
-    def test_aggregate_grouping_matches_block_layout(self):
-        spec = hp.build_spec("jumps", 2)
-        final = np.zeros(spec.size)
-        final[0], final[1] = 0.1, 0.2   # zero jumps, both current states
-        final[2], final[3] = 0.3, 0.25  # one jump
-        final[-1] = 0.15                # overflow
-        dist = hp.aggregate(spec, final)
-        assert dist.probs[0] == pytest.approx(0.3)
-        assert dist.probs[1] == pytest.approx(0.55)
-        assert dist.overflow == pytest.approx(0.15)
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS, ids=BUILDER_NAMES)
+    def test_rejects_an_unnormalized_init(self, name, builder):
+        rng = np.random.default_rng(5)
+        chain = manual_chain([0.5, 1.0], rng.uniform(size=6), rng.uniform(size=6))
+        with pytest.raises(ValueError, match="expected 1 within 1e-9"):
+            hp.propagate(builder(4), chain)
 
-    def test_aggregate_positions_layout(self):
-        spec = hp.build_spec("positions", 2)
-        final = np.zeros(spec.size)
-        final[1] = 0.4          # zero positions, in state 1
-        final[2], final[3] = 0.35, 0.25  # one position
-        dist = hp.aggregate(spec, final)
-        assert dist.probs[0] == pytest.approx(0.4)
-        assert dist.probs[1] == pytest.approx(0.6)
-
-    def test_aggregate_point_mass(self):
-        spec = hp.build_spec("positions", 3)
-        final = np.zeros(spec.size)
-        final[0] = 1.0
-        dist = hp.aggregate(spec, final)
-        assert dist.probs[0] == pytest.approx(1.0)
-        assert dist.overflow == 0.0
-
-    def test_aggregate_rejects_unnormalized(self):
-        spec = hp.build_spec("positions", 2)
-        with pytest.raises(ValueError):
-            hp.aggregate(spec, np.full(spec.size, 0.5))
+    def test_every_count_overflows(self, earthquake_model, earthquake_counts):
+        # the earthquake posterior spends more than one position in state 2
+        # on every path, so positions at level 1 is all overflow
+        chain = hp.build_posterior_chain(
+            earthquake_model, hp.forward_backward(earthquake_model, earthquake_counts)
+        )
+        dist = fmci_distribution(chain, "positions", 1)
+        assert dist.probs.dtype == np.float64 and np.array_equal(dist.probs, [0.0, 0.0])
+        assert not np.signbit(dist.probs).any()
+        assert dist.overflow == 1.0000000000000013
 
     def test_consistency_between_statistics(self, lamb_chain):
         ell = 30
@@ -394,10 +363,11 @@ class NanNumpy:
 
 
 def assert_matches_reference(spec, chain):
-    final = hp.propagate(spec, chain)
-    np.testing.assert_allclose(final, reference_final(spec, chain), rtol=0, atol=1e-12)
-    assert final.min() >= 0.0
-    return final
+    dist = hp.propagate(spec, chain)
+    expected = reference_values(spec, chain)
+    np.testing.assert_allclose(with_overflow(dist), expected, rtol=0, atol=1e-12)
+    assert dist.probs.min() >= 0.0 and dist.overflow >= 0.0
+    return dist
 
 
 class TestWindowedPropagation:
@@ -417,7 +387,7 @@ class TestWindowedPropagation:
         fixtures, randoms = chains
         spec = builder(2)
         for chain in fixtures:
-            assert assert_matches_reference(spec, chain)[-1] > 0.0
+            assert assert_matches_reference(spec, chain).overflow > 0.0
         for chain in randoms:
             assert_matches_reference(spec, chain)
 
@@ -436,7 +406,7 @@ class TestWindowedPropagation:
         n = 30
         spec = builder(4 * n)
         for chain in [prefix(c, n) for c in fixtures] + randoms:
-            assert assert_matches_reference(spec, chain)[-1] == 0.0
+            assert assert_matches_reference(spec, chain).overflow == 0.0
 
     # template lengths: four entries for jumps and positions, 2k + 4 for exact_run:k
     @pytest.mark.parametrize("name,run_length,template", [
@@ -499,10 +469,10 @@ class TestBlockedScan:
         for chain in degenerate_chains(n):
             exact = hp.auto_truncation(chain, statistic, run_length)
             spec = hp.build_spec(statistic, exact, run_length)
-            assert assert_matches_reference(spec, chain)[-1] == 0.0
+            assert assert_matches_reference(spec, chain).overflow == 0.0
             for ell in (1, 2):
-                final = assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
-                overflowed |= final[-1] > 0.0
+                dist = assert_matches_reference(hp.build_spec(statistic, ell, run_length), chain)
+                overflowed |= dist.overflow > 0.0
         assert overflowed or n < 4
 
     @pytest.mark.parametrize("n", [30, 107, 402])
@@ -515,9 +485,9 @@ class TestBlockedScan:
             for chain in degenerate_chains(n):
                 exact = hp.auto_truncation(chain, "exact_run", k)
                 for ell in sorted({1, exact}):
-                    final = assert_matches_reference(hp.build_spec("exact_run", ell, k), chain)
+                    dist = assert_matches_reference(hp.build_spec("exact_run", ell, k), chain)
                     if ell == exact:
-                        assert final[-1] == 0.0
+                        assert dist.overflow == 0.0
 
     def test_exact_run_in_count_free_blocks_shorter_than_the_root(self, monkeypatch):
         # blocks are at most _BLOCK_STEPS long, shorter than isqrt(n - 1)
@@ -529,9 +499,9 @@ class TestBlockedScan:
             for chain in degenerate_chains(n):
                 exact = hp.auto_truncation(chain, "exact_run", k)
                 for ell in sorted({1, exact}):
-                    final = assert_matches_reference(hp.build_spec("exact_run", ell, k), chain)
+                    dist = assert_matches_reference(hp.build_spec("exact_run", ell, k), chain)
                     if ell == exact:
-                        assert final[-1] == 0.0
+                        assert dist.overflow == 0.0
 
     # n - 1 steps that fill the blocks of each longest-run tier (6, 24 and
     # 96 steps) or leave a ragged last block, at the levels around the tier
@@ -569,11 +539,11 @@ class TestBlockedScan:
 
             monkeypatch.setattr(hp.fmci, form, counting_carry)
             exact = hp.auto_truncation(chain, statistic, run_length)
-            final = hp.propagate(hp.build_spec(statistic, exact, run_length), chain)
+            dist = hp.propagate(hp.build_spec(statistic, exact, run_length), chain)
             monkeypatch.undo()
             assert len(carries) == -(-(n - 1) // 32)
-            assert final[-1] == 0.0 and final.min() >= 0.0
-            assert final.sum() == pytest.approx(1.0, abs=1e-12)
+            assert dist.overflow == 0.0 and dist.probs.min() >= 0.0
+            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [120, 4300])
     def test_stays_of_1e_300(self, n):
@@ -693,13 +663,14 @@ class TestScanMemory:
         spec = hp.build_spec(statistic, ell, run_length)
         tracemalloc.start()
         try:
-            final = hp.propagate(spec, long_chain)
+            dist = hp.propagate(spec, long_chain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+        final = with_overflow(dist)
         assert final.sum() == pytest.approx(1.0, abs=1e-9) and final.min() >= 0.0
-        assert (final[-1] == 0.0) == (truncation is None)
+        assert (dist.overflow == 0.0) == (truncation is None)
 
     @pytest.mark.parametrize("statistic,run_length", [
         ("jumps", None), ("runs", None), ("positions", None), ("exact_run", 3), ("exact_run", 40),
@@ -712,9 +683,9 @@ class TestScanMemory:
         spec = hp.build_spec(
             statistic, hp.auto_truncation(long_chain, statistic, run_length), run_length
         )
-        trimmed = hp.propagate(spec, long_chain)
+        trimmed = with_overflow(hp.propagate(spec, long_chain))
         monkeypatch.setattr(hp.fmci, "_NEGLIGIBLE", 0.0)
-        untrimmed = hp.propagate(spec, long_chain)
+        untrimmed = with_overflow(hp.propagate(spec, long_chain))
         assert np.abs(trimmed - untrimmed).max() <= 1e-14
         assert trimmed.min() >= 0.0
         assert untrimmed[trimmed == 0.0].max() < 1e-25
@@ -724,7 +695,7 @@ class TestScanMemory:
         spec = hp.build_spec("longest_run", ell)
         tracemalloc.start()
         try:
-            final = hp.propagate(spec, chain)
+            final = with_overflow(hp.propagate(spec, chain))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -758,10 +729,10 @@ class TestDenseLongestRun:
         rng = np.random.default_rng(7)
         stay1, stay2 = rng.uniform(size=(2, 11))
         stay1[0] = 0.0  # every path in state 1 opens a run
-        final = assert_matches_reference(
+        dist = assert_matches_reference(
             hp.build_spec("longest_run", 6), manual_chain([0.6, 0.4], stay1, stay2)
         )
-        assert final[0] == 0.0 and final[1:].sum() > 0.0
+        assert dist.probs[0] == 0.0 and dist.probs[1:].sum() + dist.overflow > 0.0
 
     def test_low_blocks_emptied_by_a_climbing_run(self):
         # every path is in state 2 at position 2 and stays to position 10, so
@@ -770,8 +741,7 @@ class TestDenseLongestRun:
         stay1, stay2 = rng.uniform(size=(2, 24))
         stay1[0], stay2[:9] = 0.0, 1.0
         spec = hp.build_spec("longest_run", 20)
-        final = assert_matches_reference(spec, manual_chain([0.5, 0.5], stay1, stay2))
-        dist = hp.aggregate(spec, final)
+        dist = assert_matches_reference(spec, manual_chain([0.5, 0.5], stay1, stay2))
         assert not dist.probs[:9].any() and dist.probs[9] > 0.0
 
     def test_one_carry_per_block_and_tier(self, monkeypatch):
@@ -783,9 +753,9 @@ class TestDenseLongestRun:
         monkeypatch.setattr(hp.fmci, "np", counting)
         ell, n = 300, 200
         spec = hp.build_spec("longest_run", ell)
-        final = hp.propagate(spec, manual_chain([0.0, 1.0], np.ones(n - 1), np.ones(n - 1)))
+        dist = hp.propagate(spec, manual_chain([0.0, 1.0], np.ones(n - 1), np.ones(n - 1)))
         monkeypatch.undo()
-        assert final[n] == 1.0 and final.sum() == 1.0
+        assert dist.probs[n] == 1.0 and dist.probs.sum() + dist.overflow == 1.0
         length = hp.fmci._LONGEST_RUN_BLOCK
         lengths = [length]  # the dense levels
         while length <= n:
@@ -800,11 +770,11 @@ class TestDenseLongestRun:
         chain = manual_chain([0.4, 0.6], [0.3, 0.8], [0.7, 0.9])
         tracemalloc.start()
         try:
-            final = hp.propagate(spec, chain)
+            dist = hp.propagate(spec, chain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert final.sum() == pytest.approx(1.0)
+        assert dist.probs.sum() + dist.overflow == pytest.approx(1.0)
         assert peak < 56e6
 
     def test_all_mass_in_the_last_block(self):
@@ -815,8 +785,8 @@ class TestDenseLongestRun:
         stay1, stay2 = rng.uniform(0.2, 0.9, size=(2, ell + 40))
         stay2[: ell - 1] = 1.0
         spec = hp.build_spec("longest_run", ell)
-        final = assert_matches_reference(spec, manual_chain([0.0, 1.0], stay1, stay2))
-        assert not hp.aggregate(spec, final).probs[:ell].any()
+        dist = assert_matches_reference(spec, manual_chain([0.0, 1.0], stay1, stay2))
+        assert not dist.probs[:ell].any()
 
     @pytest.mark.parametrize("ell", [1, 2, 5])
     def test_record_into_the_overflow_on_the_last_step(self, ell):
@@ -826,8 +796,8 @@ class TestDenseLongestRun:
         stay1 = rng.uniform(size=ell)
         chain = manual_chain([0.3, 0.7], stay1, np.full(ell, 0.9))
         spec = hp.build_spec("longest_run", ell)
-        assert assert_matches_reference(spec, prefix(chain, ell))[-1] == 0.0
-        assert assert_matches_reference(spec, chain)[-1] == pytest.approx(0.7 * 0.9**ell)
+        assert assert_matches_reference(spec, prefix(chain, ell)).overflow == 0.0
+        assert assert_matches_reference(spec, chain).overflow == pytest.approx(0.7 * 0.9**ell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 30])
     def test_levels_from_one_to_above_the_series_length(self, n):
@@ -846,7 +816,7 @@ class TestDenseLongestRun:
         chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
         ell = hp.auto_truncation(chain, "longest_run")
         assert ell >= 16 * hp.fmci._LONGEST_RUN_BLOCK  # every tier of the scan holds levels
-        final = hp.propagate(hp.build_spec("longest_run", ell), chain)
+        final = with_overflow(hp.propagate(hp.build_spec("longest_run", ell), chain))
         exact = reference_longest_run(chain, ell)
         assert final.min() >= 0.0
         assert np.abs(final - exact).max() < 1e-14
@@ -857,8 +827,8 @@ class TestDenseLongestRun:
         _, x = hp.simulate(earthquake_model, 2000, seed=5)
         chain = hp.build_posterior_chain(earthquake_model, hp.forward_backward(earthquake_model, x))
         ell = hp.auto_truncation(chain, "longest_run")
-        final = assert_matches_reference(hp.build_spec("longest_run", ell), chain)
-        assert 0.0 < final[-1] <= hp.fmci.OVERFLOW_TOL
+        dist = assert_matches_reference(hp.build_spec("longest_run", ell), chain)
+        assert 0.0 < dist.overflow <= hp.fmci.OVERFLOW_TOL
 
 
 class TestExpectedRunCounts:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import re
 import subprocess
@@ -126,8 +127,7 @@ class TestReadCounts:
 
 class TestCsvRoundTrip:
     def test_distribution_round_trips_to_12_digits(self, tmp_path, lamb_chain):
-        spec = hp.build_spec("positions", 15)
-        dist = hp.aggregate(spec, hp.propagate(spec, lamb_chain))
+        dist = hp.propagate(hp.build_spec("positions", 15), lamb_chain)
         path = tmp_path / "dist.csv"
         io.write_distribution_csv(path, dist)
         rows = list(csv.reader(path.open()))
@@ -280,6 +280,15 @@ def test_readme_library_block_runs(monkeypatch):
     for name, rows, dtype in claims:
         value = namespace[name]
         assert (value.shape, value.dtype) == ((int(rows), n), np.dtype(dtype)), name
+
+
+def test_every_exported_function_is_called_in_the_package():
+    # a public function that only tests call belongs in the tests
+    package = Path(hp.__file__).parent
+    sources = "\n".join(path.read_text() for path in package.rglob("*.py"))
+    exported = [name for name, value in vars(hp).items() if inspect.isfunction(value)]
+    assert len(exported) > 20
+    assert [name for name in exported if not re.search(rf"(?<!def )\b{name}\(", sources)] == []
 
 
 def run_cli(args):
@@ -848,6 +857,28 @@ def test_backward_overflow_is_one_error_line(tmp_path, capsys, model, args):
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: numerical-overflow: the scaled backward table overflows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["decode"], ["sample", "--samples", "5"]],
+                         ids=lambda args: args[0])
+def test_unnormalized_posterior_is_one_error_line(tmp_path, capsys, args):
+    # the scaled tables of this extreme model lose a path's mass, so the
+    # marginal rows sum to 1.0151: an error, not a file with them
+    model = write(tmp_path, "model.txt", "states 3\npi 0.826762 0 0.173238\n"
+                  "gamma 0 1 0\ngamma 0 0.589786 0.410214\ngamma 0.100414 0.044936 0.85465\n"
+                  "lambda 2.051065 0.001458799 0.002578432\n")
+    obs = write(tmp_path, "x.csv", "79\n82\n75\n65\n")
+    out = tmp_path / "out"
+    rc = run_cli([*args, "--model", model, "--obs", obs, "--renormalize", "--out", out])
+    assert rc == 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: numerical-error: the posterior marginals at position 1 sum to 1.01509915932, "
+        "not 1 within 1e-9: the scaled tables lost probability mass to underflow, so the "
+        "posterior cannot be computed in double precision"
+    ]
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ import hmmposterior as hp
 from hmmposterior.model import _follow_maps
 from oracles import (
     enumerate_posterior,
+    model_grid,
     oracle_marginals,
     random_instance,
     random_model,
@@ -255,6 +256,19 @@ class TestForwardBackward:
             with pytest.raises(hp.BackwardOverflowError, match="overflows at position"):
                 hp.forward_backward(m, earthquake_counts)
 
+    def test_unnormalized_marginals_are_an_error(self):
+        # the blocked scan's start of the second block keeps mass on a path
+        # that its in-block pass rounds to zero, so every marginal row of
+        # this extreme model sums to 1.0151 and loglik is off by its log
+        m = hp.validate_model(hp.HmmModel(
+            pi=[0.826762, 0.0, 0.173238],
+            gamma=[[0.0, 1.0, 0.0], [0.0, 0.589786, 0.410214], [0.100414, 0.044936, 0.85465]],
+            rates=[2.051065, 0.001458799, 0.002578432],
+        ))
+        with pytest.raises(hp.NumericalError, match="at position 1 sum to 1.01509915932, not 1"):
+            hp.forward_backward(m, [79, 82, 75, 65])
+        assert issubclass(hp.BackwardOverflowError, hp.NumericalError)
+
     def test_rejects_non_finite_counts_without_warning(self, earthquake_model):
         for bad in ([1, np.nan, 3], [np.inf, 2.0], [1.0, -np.inf], [2.0, 1e20]):
             with warnings.catch_warnings():
@@ -388,7 +402,7 @@ class TestLogJoint:
             assert mine == pytest.approx(wp, abs=1e-10)
 
     def test_non_integer_labels_rejected(self):
-        model = hp.model_grid([0.8], [5])[0]
+        model = model_grid([0.8], [5])[0]
         x = [20, 20]
         assert hp.log_joint(model, [1, 2.0], x) == hp.log_joint(model, [1, 2], x)
         batch = np.array([[1, 2], [3, 3]])
@@ -432,7 +446,7 @@ class TestLogJoint:
                 assert str(narrow.value) == str(wide.value) == f"state labels must lie in 1..{k}"
 
     def test_bool_and_float_labels(self):
-        model = hp.model_grid([0.8], [5])[0]
+        model = model_grid([0.8], [5])[0]
         x = [20, 20]
         ones = np.ones((2, 2), dtype=np.int64)
         assert np.array_equal(hp.log_joint(model, ones.astype(bool), x), hp.log_joint(model, ones, x))
