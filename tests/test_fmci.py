@@ -116,6 +116,14 @@ class TestSpecConstruction:
                 np.add.at(mat, (spec.rows, spec.cols), coef[spec.kinds])
                 assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
+    def test_initial_vector_normalized(self, name, builder):
+        # the seed propagate starts from, read off a length-one chain
+        chain = hp.PosteriorChain(init=np.array([0.25, 0.75]), trans=np.empty((0, 2, 2)))
+        v = with_overflow(hp.propagate(builder(3), chain))
+        assert abs(v.sum() - 1.0) < 1e-12
+        assert (v >= 0).all()
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             hp.build_spec("jumps", 0)
@@ -268,14 +276,14 @@ class TestOracleEquivalence:
 
 
 class TestPropagateAggregate:
-    # one position: jumps count none, runs, positions and the longest run
-    # count a start in state 2, and exact_run:k counts its open run for k = 1
-    @pytest.mark.parametrize("name,builder", ALL_BUILDERS, ids=BUILDER_NAMES)
-    def test_length_one_gives_the_initial_distribution(self, name, builder):
+    def test_length_one_returns_initial_vector(self):
+        # one position: jumps count none, runs, positions and the longest run
+        # count a start in state 2, and exact_run:k counts its open run for k = 1
         chain = hp.PosteriorChain(init=np.array([0.2, 0.8]), trans=np.empty((0, 2, 2)))
-        dist = hp.propagate(builder(3), chain)
-        expected = [1.0, 0.0] if name in ("jumps", "exact_run_2", "exact_run_3") else [0.2, 0.8]
-        assert np.array_equal(with_overflow(dist), expected + [0.0, 0.0, 0.0])
+        for name, builder in ALL_BUILDERS:
+            dist = hp.propagate(builder(3), chain)
+            expected = [1.0, 0.0] if name in ("jumps", "exact_run_2", "exact_run_3") else [0.2, 0.8]
+            assert np.array_equal(with_overflow(dist), expected + [0.0, 0.0, 0.0]), name
 
     def test_final_vector_sums_to_one(self, lamb_chain):
         for _, builder in ALL_BUILDERS:
