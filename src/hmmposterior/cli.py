@@ -134,12 +134,21 @@ def cmd_decode(args) -> int:
     viterbi_path = viterbi(model, x)
     result = hybrid_decode(model, tables, x, args.alpha)
     hybrid_marg = marginals[np.arange(x.size), result.path - 1]
-    out = _outdir(args)
-    io.write_decode_csv(out / "decode.csv", x, posterior_path, viterbi_path,
-                        result.path, hybrid_marg)
     lj_post, lj_vit = log_joint(
         model, np.stack([posterior_path, viterbi_path]), x, log_emissions=tables.log_emissions
     )
+    # no path is more likely than the data: P(y, x) <= P(x)
+    bound = tables.loglik + 1e-9 * max(1.0, abs(tables.loglik))
+    for name, lj in (("posterior", lj_post), ("viterbi", lj_vit), ("hybrid", result.log_joint)):
+        if lj > bound:
+            raise NumericalError(
+                f"the {name} path's log joint probability {lj:.12g} exceeds the "
+                f"log-likelihood {tables.loglik:.12g}: the scaled tables lost probability "
+                "mass to underflow, so the posterior cannot be computed in double precision"
+            )
+    out = _outdir(args)
+    io.write_decode_csv(out / "decode.csv", x, posterior_path, viterbi_path,
+                        result.path, hybrid_marg)
     print(
         f"loglik={tables.loglik:.12g} posterior_log_joint={lj_post:.12g} "
         f"viterbi_log_joint={lj_vit:.12g} hybrid_log_joint={result.log_joint:.12g} "
@@ -396,6 +405,8 @@ def main(argv=None) -> int:
     if getattr(args, "obs_required", False) and not args.obs:
         parser.error(f"{args.command} requires --obs")
     try:
+        if not 0 <= args.seed < 2**64:  # every subcommand takes one 64-bit seed
+            raise ValueError(f"--seed must be an integer in 0..2^64-1, got {args.seed}")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to categorized exit status
         for exc_type, category, code in _ERROR_CATEGORIES:

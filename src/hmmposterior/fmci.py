@@ -29,10 +29,11 @@ run of length 1..k in progress).  One block's transitions, its template,
 describe the whole step matrix: an entry (src, dst, kind, advance) moves the
 mass of situation src to dst with probability a, 1-a, b or 1-b by kind, and
 counts one more if advance is 1.  src and dst may be ranges (runs growing by
-one) or a range into one situation (runs ending).  longest_run is the
-exception: propagate computes it by the longest-run scan below, not from a
-template.  A spec names the statistic and its level; the step rule is
-propagate's.
+one) or a range into one situation (runs ending).  longest_run's level m is
+a counting statistic too, the number of runs longer than m: its template is
+exact_run:m's with the run of length m that grows counting instead of the
+one that ends, and level 0's is runs'.  P(L <= m) is its count-0 mass.  A
+spec names the statistic and its level; the step rule is propagate's.
 
 The blocked scan.  propagate carries a counting statistic as a (count x
 situation) array v through blocks of in-block steps, not position by
@@ -51,8 +52,9 @@ situations, a transfer takes one of two forms:
               inside the block while counting d.  Blocks have
               L = min(isqrt(n - 1), 32) steps, and d runs to the most a
               block can count (L for positions, (L + 1) // 2 for jumps and
-              runs, (L + k) // (k + 1) for exact_run:k) or to ell + 1, whose
-              entry then holds every count from ell + 1 on.  The carry
+              runs, (L + k) // (k + 1) for exact_run:k, (L + m + 1) // (m + 2)
+              for longest_run's level m) or to ell + 1, whose entry then
+              holds every count from ell + 1 on.  The carry
               v'[c, j] = sum_i sum_d v[c - d, i] M[i, j, d] is one
               batched matrix product in place.  With P = D + 1 degrees,
               the window sits in one of two buffers, allocated once per
@@ -98,10 +100,11 @@ u[m] in state 1, V[m, j] in a run of length m - j, and K[m], the mass
 removed when a run reaches m + 1, so that P(L <= m) = u[m] + sum_j V[m, j]
 and K[m] = P(L > m).  The levels fall into tiers by the block length d = 6:
 
-  dense       the levels m < d, each as an (m + 2)-state chain (state 1,
-              runs 1..m, removed) on blocks of d steps; the transfers of all
-              these levels form one block-diagonal matrix per block, built a
-              group of blocks at a time.
+  dense       the levels m < d, each the counting statistic "runs longer
+              than m" carried at ell = 0 in the dense form above: u[m] and
+              V[m] are its count-0 window and K[m] its overflow.  A level
+              stops once its window is trimmed empty; P(L <= m) then reads
+              0, and the mass the trim dropped is at most (m + 2) * 1e-30.
   count-free  the levels [d, 4d) on blocks of d steps, [4d, 16d) on blocks
               of 4d, and so on, with blocks of at most 127 steps, so that a
               1 MB group holds at least 8 transfers.  No run that starts
@@ -114,11 +117,13 @@ and K[m] = P(L > m).  The levels fall into tiers by the block length d = 6:
               F gives the new u and the runs of length 1..L that start in
               the block, and the runs that survive it shift by L in place.
 
-Each tier is carried through its own blocks, so the scan makes about
-2.3 n / d block carries (n / d for the dense levels, then n / d, n / 4d, ...)
-instead of n - 1 steps.  The tier of the levels [T, 4T) on blocks of L steps
-costs O(L^2) per block to build F, O(T L^2) to carry and O(T^2) to shift,
-so O(n T (L + T / L)) over the series, most of it in the top tier.  Levels
+Each level below d and each tier above is carried through its own blocks,
+so the scan makes at most d n / L block carries for the dense levels, fewer
+where a window empties early, and about 1.3 n / d for the tiers (n / d,
+n / 4d, ...), instead of n - 1 steps.  The tier of the levels [T, 4T) on
+blocks of L steps costs O(L^2) per block to build F, O(T L^2) to carry and
+O(T^2) to shift, so O(n T (L + T / L)) over the series, most of it in the
+top tier.  Levels
 above n keep all their mass, since no run is longer than n.  P(L = m) is a
 difference of neighbouring cumulatives, of P(L <= .) where it is below 1/2
 and of K above, clamped at 0, and the overflow is K[ell], summed directly.
@@ -179,8 +184,9 @@ _BLOCK_STEPS = 32
 # either end
 _NEGLIGIBLE = 1e-30
 
-# block length of longest_run's lowest tier of levels; each tier above has
-# blocks four times longer
+# longest_run's levels below it are counting statistics; the levels from it
+# on fall into tiers, the lowest on blocks of this many steps and each tier
+# above on blocks four times longer
 _LONGEST_RUN_BLOCK = 6
 
 # largest overflow mass auto_truncation allows for longest_run
@@ -226,24 +232,33 @@ class ImbeddingSpec:
         return (self.truncation + 1) * self.width + 1
 
 
-def _exact_run_block(k: int) -> tuple:
+def _run_block(k: int, longer: bool = False) -> tuple:
     # situation 0: the run is longer than k; 1: in state 1; 2..k+1: a run of
-    # length 1..k.  Only a run that ends at exactly k counts.
+    # length 1..k.  A run that ends at exactly k counts, or with `longer` a
+    # run that passes k, once
     runs = ((slice(2, k + 1), slice(3, k + 2), _B, 0), (slice(2, k + 1), 1, _NB, 0))
     return ((0, 0, _B, 0), (0, 1, _NB, 0), (1, 1, _A, 0), (1, 2, _NA, 0),
-            *runs[: 2 * (k > 1)], (k + 1, 0, _B, 0), (k + 1, 1, _NB, 1))
+            *runs[: 2 * (k > 1)], (k + 1, 0, _B, int(longer)), (k + 1, 1, _NB, int(not longer)))
 
 
-def _block_template(statistic: str, run_length: int | None) -> tuple:
-    """The block template of jumps, runs, positions or exact_run.
+def _counting_rule(statistic: str, k: int | None) -> tuple:
+    """(template, most) of a counting statistic, or of longest_run's level k.
 
-    Each entry (src, dst, kind, advance) moves situation src of a block to
-    situation dst of the same block (advance 0) or of the next (advance 1)
-    with the coefficient `kind`; a slice pairs a range of situations.
+    Each template entry (src, dst, kind, advance) moves situation src of a
+    block to situation dst of the same block (advance 0) or of the next
+    (advance 1) with the coefficient `kind`; a slice pairs a range of
+    situations.  most(s) is the most the template counts in s steps.  Level
+    k of longest_run counts the runs longer than k, so P(L <= k) is its
+    count-0 mass; level 0 counts every run.
     """
-    if statistic == "exact_run":
-        return _exact_run_block(run_length)
-    return _POSITIONS_BLOCK if statistic == "positions" else _JUMP_BLOCK
+    if statistic == "positions":
+        return _POSITIONS_BLOCK, lambda steps: steps
+    if statistic == "exact_run":  # one run ends at the first step, then one every k + 1
+        return _run_block(k), lambda steps: (steps + k) // (k + 1)
+    if statistic == "longest_run" and k:  # one run passes k at the first step, then one every k + 2
+        return _run_block(k, longer=True), lambda steps: (steps + k + 1) // (k + 2)
+    # jumps, runs and level 0: a 1 -> 2 jump at most every other step
+    return _JUMP_BLOCK, lambda steps: (steps + 1) // 2
 
 
 def build_spec(statistic: str, truncation: int, run_length: int | None = None) -> ImbeddingSpec:
@@ -275,15 +290,6 @@ def _block_groups(a, b, length, per_group):
                b[lo * length : hi * length].reshape(-1, length))
     if a.size > full * length:
         yield a[full * length :][None], b[full * length :][None]
-
-
-def _most_counts(statistic: str, run_length: int | None, steps: int) -> int:
-    """The most a block template counts in `steps` steps."""
-    if statistic == "positions":
-        return steps
-    if statistic == "exact_run":  # one run ends at the first step, then one every k + 1
-        return (steps + run_length) // (run_length + 1)
-    return (steps + 1) // 2  # jumps and runs: a 1 -> 2 jump at most every other step
 
 
 def _dense_transfers(template, width, tops, saturate, a, b, length):
@@ -379,6 +385,38 @@ def _carry_dense(source, target, lo, rows, transfer, ell):
     return lo + first, stop - first, overflow
 
 
+def _carry_counts(template, most, v, ell, a, b):
+    """(window, first count, overflow) of the count rows v, from count 0, carried in the dense form.
+
+    Blocks have L = min(isqrt(n - 1), 32) steps, and a block's transfer
+    counts up to min(most(L), ell + 1), the last degree holding every count
+    from ell + 1 on.  The window sits in one of two buffers between P - 1
+    zero rows and the rows its carry reads (see _carry_dense); the counts
+    above ell, also those of v itself, go to the overflow, and the carry
+    stops once the window is empty.
+    """
+    overflow, lo, stop = _live(v, 0, ell)
+    rows, width = stop - lo, v.shape[1]
+    length = max(min(math.isqrt(a.size), _BLOCK_STEPS), 1)
+    # a block that counts ell + 1 or more ends in the overflow
+    tops = [min(most(s), ell + 1) + 1 for s in range(1, length + 1)]
+    p = tops[-1]
+    # P - 1 zero rows, a window of at most ell + 1 - lo counts and the
+    # 2 (P - 1) rows past it that a carry reads
+    buffers = np.empty((2, ell + 1 - lo + 3 * (p - 1), width))
+    buffers[:, : _read_end(rows, p)] = 0.0
+    buffers[0, p - 1 : p - 1 + rows] = v[lo:stop]
+    source, target = buffers
+    transfers = _dense_transfers(template, width, tops, most(length) > ell + 1, a, b, length)
+    for transfer in transfers if rows else ():
+        lo, rows, over = _carry_dense(source, target, lo, rows, transfer, ell)
+        overflow += over
+        source, target = target, source
+        if rows == 0:
+            break
+    return source[p - 1 : p - 1 + rows], lo, overflow
+
+
 def _count_free_transfers(a, b, length):
     """Every block's (F, beta, stay) for the count-free form, one block at a time.
 
@@ -445,46 +483,6 @@ def _carry_count_free(v, transfer):
     return out
 
 
-def _scan_low_levels(levels, init, a, b, length):
-    """(kept, removed) of the levels m < `levels`, carried by dense block transfers.
-
-    Level m has m + 2 states from offset m (m + 3) / 2: in state 1, in a
-    run of length 1..m, and removed, once a run reaches m + 1.  The transfers
-    of every level form one block-diagonal matrix, built a group of blocks
-    at a time.
-    """
-    offsets = [m * (m + 3) // 2 for m in range(levels + 1)]
-    size = offsets[-1]
-    x = np.zeros(size)
-    for o in offsets[:-1]:
-        x[o], x[o + 1] = init  # level 0's run of length 1 is removed at once
-    per_group = max(1, _GROUP_BYTES // (8 * size * size))
-    buffer = None  # one group's, reused: each transfer is carried before the next group
-    for ga, gb in _block_groups(a, b, length, per_group):
-        if buffer is None:
-            buffer = np.empty((ga.shape[0], size, size))
-        t = buffer[: ga.shape[0]]
-        t.fill(0.0)
-        for m, o in enumerate(offsets[:-1]):
-            z = t[:, o : o + m + 2, o : o + m + 2]  # z[block, from, to]
-            z[:, range(m + 2), range(m + 2)] = 1.0
-            for step in range(ga.shape[1]):
-                at, bt = ga[:, step, None], gb[:, step, None]
-                if m == 0:  # a run of length 1 already passes level 0
-                    z[..., 1] += z[..., 0] * (1.0 - at)
-                    z[..., 0] *= at
-                    continue
-                z[..., m + 1] += z[..., m] * bt
-                ends = z[..., 1 : m + 1].sum(axis=2) * (1.0 - bt)
-                z[..., 2 : m + 1] = z[..., 1:m] * bt[..., None]
-                z[..., 1] = z[..., 0] * (1.0 - at)
-                z[..., 0] = z[..., 0] * at + ends
-        for transfer in t:
-            x = np.matmul(x, transfer)
-    kept = np.array([x[o : o + m + 1].sum() for m, o in enumerate(offsets[:-1])])
-    return kept, x[np.array(offsets[1:]) - 1]
-
-
 def _scan_levels(lo, hi, init, a, b):
     """(kept, removed) of the levels lo..hi-1, carried in the count-free form.
 
@@ -540,7 +538,11 @@ def _propagate_longest_run(ell, init, a, b):
     top = min(ell, a.size + 1)  # no run is longer than n: the levels above keep all the mass
     kept, removed = np.ones(ell + 1), np.zeros(ell + 1)
     lo = min(_LONGEST_RUN_BLOCK, top + 1)
-    kept[:lo], removed[:lo] = _scan_low_levels(lo, init, a, b, _LONGEST_RUN_BLOCK)
+    for m in range(lo):  # a run of length 1 opens level 0's count and no other's
+        v = np.zeros((2, m + 2))
+        np.put(v, (1, 2), init)
+        window, _, removed[m] = _carry_counts(*_counting_rule("longest_run", m), v, 0, a, b)
+        kept[m] = window.sum()
     while lo <= top:
         hi = min(4 * lo, top + 1)
         kept[lo:hi], removed[lo:hi] = _scan_levels(lo, hi, init, a, b)
@@ -563,10 +565,11 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> Distribution:
     (blocks + 1) * size * 1e-30 in all, and values that small come out as 0.
 
     For longest_run it comes from the longest-run scan of the module
-    docstring: each tier of levels is carried through its own blocks, and
-    P(L = m) takes the differences of the cumulatives P(L <= m) and K[m]
-    that the tiers end with.  It is within rounding of the product over the
-    loop-built imbedding's entries, not bit-identical to it.
+    docstring: each level below 6 is carried as a counting statistic at
+    ell = 0, each tier of levels above through its own blocks, and P(L = m)
+    takes the differences of the cumulatives P(L <= m) and K[m] they end
+    with.  It is within rounding and the trimmed rows of the product over
+    the loop-built imbedding's entries, not bit-identical to it.
 
     Raises ValueError when the result does not sum to 1 within 1e-9, as
     when chain.init does not.
@@ -579,37 +582,19 @@ def propagate(spec: ImbeddingSpec, chain: PosteriorChain) -> Distribution:
     # state 1 starts at count 0; state 2 opens a run, but is no jump
     v = np.zeros((2, width))
     np.put(v, (1, 0 if spec.statistic == "jumps" else 2), chain.init)
-    _, lo, stop = _live(v, 0, ell)
+    if k is None or width <= _DENSE_WIDTH_MAX:
+        v, lo, overflow = _carry_counts(*_counting_rule(spec.statistic, k), v, ell, a, b)
+        return _by_value(spec, v, lo, overflow)
+    overflow, lo, stop = _live(v, 0, ell)
     v = v[lo:stop]
-    overflow = 0.0
     length = max(min(math.isqrt(a.size), _BLOCK_STEPS), 1)
-    if k is not None and width > _DENSE_WIDTH_MAX:
-        for transfer in _count_free_transfers(a, b, min(length, k)):
-            v = _carry_count_free(v, transfer)
-            over, first, stop = _live(v, lo, ell)
-            overflow += over
-            lo, v = lo + first, v[first:stop]
-            if v.size == 0:
-                break
-    else:
-        # a block that counts ell + 1 or more ends in the overflow
-        tops = [min(_most_counts(spec.statistic, k, s), ell + 1) + 1 for s in range(1, length + 1)]
-        saturate = _most_counts(spec.statistic, k, length) > ell + 1
-        template = _block_template(spec.statistic, k)
-        p, rows = tops[-1], v.shape[0]
-        # P - 1 zero rows, a window of at most ell + 1 - lo counts and the
-        # 2 (P - 1) rows past it that a carry reads
-        buffers = np.empty((2, ell + 1 - lo + 3 * (p - 1), width))
-        buffers[:, : _read_end(rows, p)] = 0.0
-        buffers[0, p - 1 : p - 1 + rows] = v
-        source, target = buffers
-        for transfer in _dense_transfers(template, width, tops, saturate, a, b, length):
-            lo, rows, over = _carry_dense(source, target, lo, rows, transfer, ell)
-            overflow += over
-            source, target = target, source
-            if rows == 0:
-                break
-        v = source[p - 1 : p - 1 + rows]
+    for transfer in _count_free_transfers(a, b, min(length, k)):
+        v = _carry_count_free(v, transfer)
+        over, first, stop = _live(v, lo, ell)
+        overflow += over
+        lo, v = lo + first, v[first:stop]
+        if v.size == 0:
+            break
     return _by_value(spec, v, lo, overflow)
 
 

@@ -74,7 +74,7 @@ def tiled_entries(spec):
     ell, overflow = spec.truncation, spec.size - 1
     situations = np.arange(overflow // (ell + 1))
     pairs = []
-    for src, dst, kind, advance in hp.fmci._block_template(spec.statistic, spec.run_length):
+    for src, dst, kind, advance in hp.fmci._counting_rule(spec.statistic, spec.run_length)[0]:
         srcs, dsts = np.broadcast_arrays(situations[src], situations[dst])
         pairs += [(s, d, kind, advance) for s, d in zip(srcs.ravel(), dsts.ravel())]
     entries = []
@@ -354,9 +354,9 @@ class CountingNumpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, x, y):
+    def matmul(self, x, y, out=None):
         self.carries += 1
-        return np.matmul(x, y)
+        return np.matmul(x, y, out=out)
 
 
 class NanNumpy:
@@ -753,10 +753,13 @@ class TestDenseLongestRun:
         assert not dist.probs[:9].any() and dist.probs[9] > 0.0
 
     def test_one_carry_per_block_and_tier(self, monkeypatch):
-        # one run climbs through every level; the scan carries each tier of
-        # levels through its own blocks once: the levels below the shortest
-        # block length d and [d, 4d) in blocks of d, [4d, 16d) in blocks of
-        # 4d, and so on up to n, above which no run reaches
+        # one run climbs through every level.  The levels below the shortest
+        # tier block d are counting statistics on blocks of isqrt(n - 1) = 14
+        # steps, each carried until its count-0 window empties: level 0
+        # counts the run at once and carries nothing, and the run passes
+        # levels 1..d-1 in the first block.  The tiers carry the levels
+        # [d, 4d) in blocks of d, [4d, 16d) in blocks of 4d, and so on up to
+        # n, above which no run reaches
         counting = CountingNumpy()
         monkeypatch.setattr(hp.fmci, "np", counting)
         ell, n = 300, 200
@@ -764,12 +767,42 @@ class TestDenseLongestRun:
         dist = hp.propagate(spec, manual_chain([0.0, 1.0], np.ones(n - 1), np.ones(n - 1)))
         monkeypatch.undo()
         assert dist.probs[n] == 1.0 and dist.probs.sum() + dist.overflow == 1.0
-        length = hp.fmci._LONGEST_RUN_BLOCK
-        lengths = [length]  # the dense levels
+        length, lengths = hp.fmci._LONGEST_RUN_BLOCK, []
         while length <= n:
             lengths.append(length)
             length *= 4
-        assert counting.carries == sum(-(-(n - 1) // length) for length in lengths)
+        low = hp.fmci._LONGEST_RUN_BLOCK - 1
+        assert counting.carries == low + sum(-(-(n - 1) // length) for length in lengths)
+
+    def test_low_levels_over_many_blocks(self):
+        # 999 steps make 33 blocks of 31 steps, the last ragged.  P(L <= m)
+        # runs from about 1e-307 at level 0 to 0.25 at level 5, so the low
+        # levels trim their count-0 window away or keep it to the end
+        rng = np.random.default_rng(0)
+        n = 1000
+        chain = manual_chain([0.5, 0.5], rng.uniform(0.3, 0.7, n - 1), rng.uniform(0.2, 0.5, n - 1))
+        ell = hp.fmci._LONGEST_RUN_BLOCK - 1
+        final = with_overflow(hp.propagate(hp.build_spec("longest_run", ell), chain))
+        exact = reference_longest_run(chain, ell)
+        cumulative = np.cumsum(exact[:-1])
+        assert cumulative[1] < hp.fmci._NEGLIGIBLE < cumulative[2] and cumulative[-1] > 0.1
+        assert np.abs(final - exact).max() < 1e-14
+        large = exact > 1e-6
+        assert (np.abs(final - exact)[large] / exact[large]).max() < 1e-10
+
+    def test_level_zero_in_closed_form(self):
+        # no run at all: state 1 at the start and at every step after
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            n = int(rng.integers(2, 200))
+            init = rng.uniform()
+            stay1 = rng.uniform(0.8, 1.0, n - 1)
+            chain = manual_chain([init, 1.0 - init], stay1, rng.uniform(size=n - 1))
+            expected = float(init * np.prod(stay1.astype(np.longdouble)))
+            assert expected > 1e-20
+            for ell in (1, hp.auto_truncation(chain, "longest_run")):
+                dist = hp.propagate(hp.build_spec("longest_run", ell), chain)
+                assert dist.probs[0] == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_propagation_memory_at_the_state_limit(self):
         # the CLI's largest level; no level above n = 3 holds a run, so the

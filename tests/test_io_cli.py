@@ -291,6 +291,18 @@ def test_every_exported_function_is_called_in_the_package():
     assert [name for name in exported if not re.search(rf"(?<!def )\b{name}\(", sources)] == []
 
 
+def test_every_private_helper_is_used_in_the_package():
+    # a private function or constant that nothing reads is left over
+    sources = "\n".join(path.read_text() for path in Path(hp.__file__).parent.rglob("*.py"))
+    defined = re.findall(r"^\s*def (_[a-z]\w*)\(|^(_[A-Z][A-Z0-9_]*) = ", sources, re.M)
+    names = {function or constant for function, constant in defined}
+    assert len(names) > 20
+    unused = [name for name in sorted(names)
+              if len(re.findall(rf"\b{name}\b", sources)) <= len(re.findall(
+                  rf"^\s*def {name}\(|^{name} = ", sources, re.M))]
+    assert unused == []
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -878,6 +890,57 @@ def test_unnormalized_posterior_is_one_error_line(tmp_path, capsys, args):
         "error: numerical-error: the posterior marginals at position 1 sum to 1.01509915932, "
         "not 1 within 1e-9: the scaled tables lost probability mass to underflow, so the "
         "posterior cannot be computed in double precision"
+    ]
+    assert not out.exists()
+
+
+def test_log_joint_above_the_loglik_is_one_error_line(tmp_path, capsys):
+    # emissions more than about 708 nats below the best state's underflow,
+    # so the loglik misses the likely paths: the Viterbi path's log joint
+    # probability is above it, which no path can be
+    model = write(tmp_path, "model.txt", "states 3\npi 0.23428 0.76572 0\n"
+                  "gamma 0.468382 0 0.531618\ngamma 0.264459 0 0.735541\n"
+                  "gamma 0.596424 0.01469 0.388885\nlambda 0.5727204 37.12651 0.02349634\n")
+    obs = write(tmp_path, "x.csv", "175\n176\n172\n172\n")
+    out = tmp_path / "out"
+    rc = run_cli(["decode", "--model", model, "--obs", obs, "--renormalize", "--out", out])
+    assert rc == 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: numerical-error: the viterbi path's log joint probability -2473.95091241 "
+        "exceeds the log-likelihood -2602.85025229: the scaled tables lost probability mass "
+        "to underflow, so the posterior cannot be computed in double precision"
+    )
+    assert len(captured.err.splitlines()) == 2  # after the renormalization note
+    assert not out.exists()
+
+
+_SEED_COMMANDS = {
+    "decode": ["--obs", "earthquakes"],
+    "fmci": ["--obs", "earthquakes", "--statistic", "jumps"],
+    "sample": ["--obs", "earthquakes", "--samples", "3"],
+    "artemis": ["--n", "200", "--replicates", "1", "--alpha-grid", "4"],
+    "blockwise": ["--alpha", "0.4", "--n", "60", "--replicates", "1", "--block-sizes", "1,2"],
+    "simulate": ["--n", "20"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+@pytest.mark.parametrize("command", sorted(_SEED_COMMANDS))
+def test_seed_is_a_64_bit_unsigned_integer(tmp_path, capsys, command, seed):
+    # one range for every subcommand, checked before any input is read and --out is made
+    out = tmp_path / "out"
+    rc = run_cli([command, "--model", "earthquakes", *_SEED_COMMANDS[command],
+                  "--seed", seed, "--out", out])
+    captured = capsys.readouterr()
+    if seed == 2**64 - 1:
+        assert rc == 0 and out.is_dir()
+        return
+    assert rc == 7
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument-error: --seed must be an integer in 0..2^64-1, got {seed}"
     ]
     assert not out.exists()
 
